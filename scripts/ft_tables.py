@@ -9,7 +9,7 @@ bounded, and on fig1 it rises from 3 to 5 at radius 9.
 import argparse
 from pathlib import Path
 
-from coxlang import ft_scan, parse_system
+from coxlang import ft_scan, k_constant, parse_system
 from coxlang.experiments import ft_tsv
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
@@ -18,15 +18,14 @@ GROUPS = Path(__file__).resolve().parent.parent / "groups"
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--radii", default="4,6,8,10")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     radii = [int(r) for r in args.radii.split(",")]
     for fname in ("fig1.cox", "triangle_333.cox"):
         system = parse_system((GROUPS / fname).read_text())
-        print(f"# {fname}  (K = {ft_scan(system, 0).k})")
+        print(f"# {fname}  (K = {k_constant(system)})")
         header_done = False
         for radius in radii:
-            report = ft_scan(system, radius, threads=args.threads)
+            report = ft_scan(system, radius)
             block = ft_tsv(report, system).splitlines()
             if not header_done:
                 print(block[0])

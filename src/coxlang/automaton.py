@@ -19,8 +19,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .core import CoxeterSystem, Element, Word
-from .errors import ResourceLimitError
+from .core import CoxeterSystem, Element, Word, word_str
+from .errors import PreconditionError, ResourceLimitError
 from .language import is_in_standard_language
 from .walls import (Wall, conjugate_wall, residue_walls,
                     separates_vertex_from_wall, wall_of_generator, wall_set)
@@ -147,64 +147,55 @@ def _max_depth(states) -> int:
     return depth
 
 
-def accepts(fsa: ResidueFsa, word) -> bool:
-    """Set-of-runs matching over whole-chunk labels."""
-    if isinstance(word, str):
-        word = _parse_word(fsa.generators, word)
-    word = tuple(word)
-    n = len(word)
+def _runner(fsa: ResidueFsa):
+    """Acceptance by set-of-runs matching over whole-chunk labels.
+
+    The by-source index and the label sets are built once, so one runner
+    serves any number of words.
+    """
     by_source = {}
     for tr in fsa.transitions:
-        by_source.setdefault(tr.source, []).append(tr)
-    active = [set() for _ in range(n + 1)]
-    active[0].add(fsa.start)
-    for i in range(n):
-        for state in active[i]:
-            for tr in by_source.get(state, ()):
-                k = len(tr.w0_word)
-                if i + k <= n and word[i:i + k] in tr.labels:
-                    active[i + k].add(tr.target)
-    return bool(active[n])
+        by_source.setdefault(tr.source, []).append(
+            (len(tr.w0_word), frozenset(tr.labels), tr.target))
+
+    def run(word: Word) -> bool:
+        n = len(word)
+        active = [set() for _ in range(n + 1)]
+        active[0].add(fsa.start)
+        for i in range(n):
+            for state in active[i]:
+                for k, labels, target in by_source.get(state, ()):
+                    if i + k <= n and word[i:i + k] in labels:
+                        active[i + k].add(target)
+        return bool(active[n])
+
+    return run
+
+
+def accepts(fsa: ResidueFsa, word) -> bool:
+    """Whether the automaton accepts a word (indices or a string)."""
+    if isinstance(word, str):
+        word = _parse_word(fsa.generators, word)
+    return _runner(fsa)(tuple(word))
 
 
 def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
                      max_len: int) -> EquivalenceReport:
     """Compare automaton acceptance with the membership predicate on
     every word of length <= max_len."""
-    by_source = {}
-    labelsets = {}
-    for tr in fsa.transitions:
-        by_source.setdefault(tr.source, []).append(tr)
-        labelsets[id(tr)] = frozenset(tr.labels)
+    if max_len < 0:
+        raise PreconditionError("scan length must be nonnegative")
+    run = _runner(fsa)
     checked = 0
     for length in range(max_len + 1):
         for word in itertools.product(range(system.n), repeat=length):
-            n = len(word)
-            active = [set() for _ in range(n + 1)]
-            active[0].add(fsa.start)
-            for i in range(n):
-                for state in active[i]:
-                    for tr in by_source.get(state, ()):
-                        k = len(tr.w0_word)
-                        if i + k <= n and word[i:i + k] in labelsets[id(tr)]:
-                            active[i + k].add(tr.target)
-            a = bool(active[n])
-            b = is_in_standard_language(system, word)
             checked += 1
-            if a != b:
+            if run(word) != is_in_standard_language(system, word):
                 return EquivalenceReport(max_len, checked, word)
     return EquivalenceReport(max_len, checked, None)
 
 
 # ----- export ---------------------------------------------------------------
-
-
-def _word_str(names, word: Word) -> str:
-    if not word:
-        return "e"
-    if all(len(nm) == 1 for nm in names):
-        return "".join(names[s] for s in word)
-    return " ".join(names[s] for s in word)
 
 
 def _parse_word(names, text: str) -> Word:
@@ -226,8 +217,8 @@ def to_json(fsa: ResidueFsa) -> str:
             {
                 "from": tr.source,
                 "T": [names[t] for t in tr.parabolic],
-                "w0": _word_str(names, tr.w0_word),
-                "labels": [_word_str(names, w) for w in tr.labels],
+                "w0": word_str(names, tr.w0_word),
+                "labels": [word_str(names, w) for w in tr.labels],
                 "to": tr.target,
             }
             for tr in fsa.transitions
@@ -267,7 +258,7 @@ def to_dot(fsa: ResidueFsa) -> str:
         lines.append(f'  q{i} [label="{i}: {len(st)} walls, depth {depth}"];')
     for tr in fsa.transitions:
         tnames = ",".join(names[t] for t in tr.parabolic)
-        label = f"{{{tnames}}} : {_word_str(names, tr.w0_word)}"
+        label = f"{{{tnames}}} : {word_str(names, tr.w0_word)}"
         lines.append(f'  q{tr.source} -> q{tr.target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

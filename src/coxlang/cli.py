@@ -41,7 +41,6 @@ class RunConfig:
     max_states: int = 10_000
     max_ball: int = DEFAULT_BALL_CAP
     max_words: int = DEFAULT_WORD_CAP
-    threads: int = 1
     fmt: str = "text"
     output: str | None = None
 
@@ -131,8 +130,7 @@ def cmd_scan(config: RunConfig) -> int:
     system = _load(config.group)
     report = ft_scan(system, config.radius,
                      words="all" if config.all_words else "canonical",
-                     max_words=config.max_words, max_ball=config.max_ball,
-                     threads=config.threads)
+                     max_words=config.max_words, max_ball=config.max_ball)
     render = ft_text if config.fmt == "text" else ft_tsv
     _emit(render(report, system), config)
     if report.bound_ok is False:
@@ -150,8 +148,7 @@ def cmd_prop(config: RunConfig) -> int:
 
 def cmd_divergence(config: RunConfig) -> int:
     system = _load(config.group)
-    table = divergence_scan(system, config.radii, max_ball=config.max_ball,
-                            threads=config.threads)
+    table = divergence_scan(system, config.radii, max_ball=config.max_ball)
     render = divergence_text if config.fmt == "text" else divergence_tsv
     _emit(render(table, system), config)
     return EXIT_OK
@@ -194,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-words", action="store_true")
     p.add_argument("--max-words", type=int, default=DEFAULT_WORD_CAP)
     p.add_argument("--max-ball", type=int, default=DEFAULT_BALL_CAP)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", default="tsv", choices=("tsv", "text"),
                    dest="fmt")
     p.add_argument("--output", default=None)
@@ -212,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", required=True,
                    help="comma-separated strictly increasing radii")
     p.add_argument("--max-ball", type=int, default=DEFAULT_BALL_CAP)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", default="tsv", choices=("tsv", "text"),
                    dest="fmt")
     p.add_argument("--output", default=None)
@@ -222,8 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace) -> RunConfig:
     fields = {}
     for name in ("sub", "word", "radius", "scan_len", "all_words",
-                 "max_states", "max_ball", "max_words", "threads", "fmt",
-                 "output"):
+                 "max_states", "max_ball", "max_words", "fmt", "output"):
         if hasattr(args, name) and getattr(args, name) is not None:
             fields[name] = getattr(args, name)
     if getattr(args, "radii", None) is not None:

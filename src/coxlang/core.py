@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import (InfiniteParabolicError, InvariantViolation, ParseError,
                      PreconditionError, ResourceLimitError,
                      SystemMismatchError)
-from .scalar import INF, CycloField, Scalar, field_for
+from .scalar import INF, field_for
 
 Word = tuple[int, ...]
 
@@ -66,6 +66,16 @@ class CoxeterMatrix:
         n = self.n
         return [self.orders[i][j] for i in range(n) for j in range(i + 1, n)
                 if self.orders[i][j] != INF]
+
+
+def word_str(names, word: Word) -> str:
+    """A word as text: "e" if empty, letters joined by spaces unless all
+    generator names are one character long."""
+    if not word:
+        return "e"
+    if all(len(nm) == 1 for nm in names):
+        return "".join(names[s] for s in word)
+    return " ".join(names[s] for s in word)
 
 
 def _alt(a: int, b: int, length: int) -> Word:
@@ -263,12 +273,7 @@ class CoxeterSystem:
         return tuple(word)
 
     def word_str(self, word: Word) -> str:
-        names = self.matrix.names
-        if not word:
-            return "e"
-        if all(len(nm) == 1 for nm in names):
-            return "".join(names[s] for s in word)
-        return " ".join(names[s] for s in word)
+        return word_str(self.matrix.names, word)
 
     def gen_index(self, name: str) -> int:
         if name not in self._index:

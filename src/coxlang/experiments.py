@@ -8,19 +8,18 @@ the growing divergence that rules out such a bound.
 
 All scans are deterministic: ties between witnesses are broken by the
 lexicographically least (normal form, generator index), which is
-independent of iteration order and so survives thread sharding.
+independent of iteration order.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import DEFAULT_BALL_CAP, CoxeterSystem, Element, Word
 from .errors import PreconditionError
 from .language import (DEFAULT_WORD_CAP, _finite_pairs, canonical_word,
-                       check_prop_main, language_words)
+                       check_prop_main, descent_data, language_words)
 
 Witness = tuple[Word, int]
 
@@ -130,46 +129,72 @@ def _better(value: int, wit: Witness, best: int, best_wit: Witness | None) -> bo
     return best_wit is None or wit < best_wit
 
 
-def _shard(items, threads: int):
-    if threads <= 1:
-        return [items]
-    return [items[i::threads] for i in range(threads)]
+def _canonical_words(ball):
+    """A canonical-word lookup for a ball and its one-step neighbours.
+
+    canonical_word(x) = canonical_word(Pi(x)) + nf(w(x)), and Pi(x) is
+    strictly shorter than x.  Filling the table in length order therefore
+    costs one descent_data per element, and a neighbour x outside the ball
+    finds Pi(x) inside it.
+    """
+    table = {}
+
+    def word(x: Element) -> Word:
+        found = table.get(x)
+        if found is None:
+            T, w, pi = descent_data(x)
+            found = table[x] = table[pi] + w.nf if T else ()
+        return found
+
+    for g in ball:
+        word(g)
+    return word
 
 
-def _scan_elements(system, elements, words, max_words):
-    max_ii, wit_ii = -1, None
-    max_iii, wit_iii = -1, None
-    for g in elements:
-        rdesc, ldesc = g.right_descents(), g.left_descents()
-        for s in range(system.n):
-            if s not in rdesc:
-                gp = system.mul_gen(g, s)
-                if words == "all":
-                    val = max(_pair_value(system, v, vp, None)
-                              for v in language_words(g, max_words)
-                              for vp in language_words(gp, max_words))
-                else:
-                    val = _pair_value(system, canonical_word(g),
-                                      canonical_word(gp), None)
-                if _better(val, (g.nf, s), max_ii, wit_ii):
-                    max_ii, wit_ii = val, (g.nf, s)
-            if s not in ldesc:
-                gp = system.gen_mul(s, g)
-                if words == "all":
-                    val = max(_pair_value(system, v, vp, s)
-                              for v in language_words(g, max_words)
-                              for vp in language_words(gp, max_words))
-                else:
-                    val = _pair_value(system, canonical_word(g),
-                                      canonical_word(gp), s)
-                if _better(val, (g.nf, s), max_iii, wit_iii):
-                    max_iii, wit_iii = val, (g.nf, s)
-    return max_ii, wit_ii, max_iii, wit_iii
+def _ascent_values(system, ball, sides, words, max_words) -> dict:
+    """Per side, (l(g), value, (nf(g), s)) for g in the ball and each ascent s.
+
+    Side "right" compares g with g·s; side "left" compares g with s·g,
+    shifting the prefixes of g by s.  In "all" mode the value is the worst
+    over every pair of standard-language words, else that of the canonical
+    words, read from one table shared by both sides.
+    """
+    if words == "all":
+        def value(g, gp, shift):
+            return max(_pair_value(system, v, vp, shift)
+                       for v in language_words(g, max_words)
+                       for vp in language_words(gp, max_words))
+    else:
+        word = _canonical_words(ball)
+
+        def value(g, gp, shift):
+            return _pair_value(system, word(g), word(gp), shift)
+    out = {}
+    for side in sides:
+        right = side == "right"
+        entries = out[side] = []
+        for g in ball:
+            desc = g.right_descents() if right else g.left_descents()
+            for s in range(system.n):
+                if s not in desc:
+                    gp = system.mul_gen(g, s) if right else system.gen_mul(s, g)
+                    val = value(g, gp, None if right else s)
+                    entries.append((g.length, val, (g.nf, s)))
+    return out
+
+
+def _best(entries, radius: int | None = None) -> tuple[int, Witness | None]:
+    """The largest value with l(g) <= radius, least witness among ties."""
+    best, wit = 0, None
+    for length, val, witness in entries:
+        if (radius is None or length <= radius) and _better(val, witness, best, wit):
+            best, wit = val, witness
+    return best, wit
 
 
 def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
             max_words: int = DEFAULT_WORD_CAP,
-            max_ball: int = DEFAULT_BALL_CAP, threads: int = 1) -> FtReport:
+            max_ball: int = DEFAULT_BALL_CAP) -> FtReport:
     """Measure both fellow-traveller quantities over a ball.
 
     max_ii ranges over g' = g·s (prefixes compared directly); max_iii over
@@ -179,24 +204,12 @@ def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
     """
     if words not in ("canonical", "all"):
         raise PreconditionError(f"unknown words mode {words!r}")
+    if radius < 0:
+        raise PreconditionError("radius must be nonnegative")
     ball = system.ball(radius, max_ball)
-    shards = _shard(ball, threads)
-    if len(shards) == 1:
-        results = [_scan_elements(system, ball, words, max_words)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(
-                lambda part: _scan_elements(system, part, words, max_words),
-                shards))
-    max_ii, wit_ii = -1, None
-    max_iii, wit_iii = -1, None
-    for m2, w2, m3, w3 in results:
-        if w2 is not None and _better(m2, w2, max_ii, wit_ii):
-            max_ii, wit_ii = m2, w2
-        if w3 is not None and _better(m3, w3, max_iii, wit_iii):
-            max_iii, wit_iii = m3, w3
-    max_ii = max(max_ii, 0)
-    max_iii = max(max_iii, 0)
+    values = _ascent_values(system, ball, ("right", "left"), words, max_words)
+    max_ii, wit_ii = _best(values["right"])
+    max_iii, wit_iii = _best(values["left"])
     k = k_constant(system)
     two_dim = system.is_two_dimensional()
     bound_ok = (max_ii <= 5 * k) if two_dim else None
@@ -204,44 +217,22 @@ def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
                     two_dim, bound_ok, words)
 
 
-def _divergence_pairs(system, elements):
-    out = []
-    for g in elements:
-        rdesc = g.right_descents()
-        for s in range(system.n):
-            if s not in rdesc:
-                val = _pair_value(system, canonical_word(g),
-                                  canonical_word(system.mul_gen(g, s)), None)
-                out.append((g.length, val, (g.nf, s)))
-    return out
-
-
 def divergence_scan(system: CoxeterSystem, radii,
-                    max_ball: int = DEFAULT_BALL_CAP,
-                    threads: int = 1) -> DivergenceTable:
-    """Max prefix divergence per radius, one row per requested radius."""
+                    max_ball: int = DEFAULT_BALL_CAP) -> DivergenceTable:
+    """Max prefix divergence per radius, one row per requested radius.
+
+    Each row equals ft_scan(system, radius).max_ii and its witness.
+    """
     radii = tuple(radii)
     if not radii or any(r < 0 for r in radii):
         raise PreconditionError("radii must be nonnegative")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly increasing")
     ball = system.ball(radii[-1], max_ball)
-    shards = _shard(ball, threads)
-    if len(shards) == 1:
-        chunks = [_divergence_pairs(system, ball)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            chunks = list(pool.map(
-                lambda part: _divergence_pairs(system, part), shards))
-    pairs = [p for chunk in chunks for p in chunk]
-    rows = []
-    for radius in radii:
-        best, wit = 0, None
-        for glen, val, witness in pairs:
-            if glen <= radius and _better(val, witness, best, wit):
-                best, wit = val, witness
-        rows.append(DivergenceRow(radius, best, wit))
-    return DivergenceTable(tuple(rows))
+    entries = _ascent_values(system, ball, ("right",), "canonical",
+                             DEFAULT_WORD_CAP)["right"]
+    return DivergenceTable(tuple(DivergenceRow(radius, *_best(entries, radius))
+                                 for radius in radii))
 
 
 def prop_main_scan(system: CoxeterSystem, radius: int,
@@ -254,6 +245,8 @@ def prop_main_scan(system: CoxeterSystem, radius: int,
     """
     if not system.is_two_dimensional():
         raise PreconditionError("the residue witness scan needs a 2-dimensional system")
+    if radius < 0:
+        raise PreconditionError("radius must be nonnegative")
     pairs = _finite_pairs(system)
     seen = set()
     failures = []

@@ -105,12 +105,10 @@ def test_scan_tsv(capsys):
     assert lines[1] == "5\t4\t4\t3\tstrsr\tt"
 
 
-def test_scan_deterministic_and_thread_invariant(capsys):
+def test_scan_deterministic(capsys):
     _, first, _ = run(capsys, "scan", FIG1, "--radius", "5")
     _, second, _ = run(capsys, "scan", FIG1, "--radius", "5")
-    _, threaded, _ = run(capsys, "scan", FIG1, "--radius", "5",
-                         "--threads", "2")
-    assert first == second == threaded
+    assert first == second
 
 
 def test_scan_ball_cap(capsys):
@@ -174,3 +172,7 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "scan", FIG1)[0] == 2  # --radius is required
+    assert run(capsys, "scan", FIG1, "--radius", "2", "--threads", "2")[0] == 2
+    assert run(capsys, "scan", FIG1, "--radius", "-1")[0] == 2
+    assert run(capsys, "prop", FIG1, "--radius", "-2")[0] == 2
+    assert run(capsys, "automaton", FIG1, "--scan-len", "-1")[0] == 2

@@ -4,8 +4,8 @@ import pytest
 
 from coxlang import (PreconditionError, ResourceLimitError, divergence_scan,
                      ft_pair_divergence, ft_scan, k_constant, prop_main_scan)
-from coxlang.experiments import (_pair_value, divergence_tsv, ft_text, ft_tsv,
-                                 prop_text, prop_tsv)
+from coxlang.experiments import (_canonical_words, _pair_value, divergence_tsv,
+                                 ft_text, ft_tsv, prop_text, prop_tsv)
 from coxlang.language import canonical_word
 
 
@@ -85,12 +85,6 @@ def test_ft_scan_not_two_dimensional(a3tilde):
     assert (report.max_ii, report.max_iii) == (2, 3)
 
 
-def test_ft_scan_threads_match_serial(fig1):
-    serial = ft_scan(fig1, 6)
-    threaded = ft_scan(fig1, 6, threads=2)
-    assert serial == threaded
-
-
 def test_ft_scan_all_words_dominates_canonical(fig1):
     can = ft_scan(fig1, 4)
     full = ft_scan(fig1, 4, words="all")
@@ -133,10 +127,31 @@ def test_divergence_a3tilde_growth(a3tilde):
     assert all(row.witness is not None for row in table.rows)
 
 
-def test_divergence_threads_match_serial(a3tilde):
-    serial = divergence_scan(a3tilde, (4, 6))
-    threaded = divergence_scan(a3tilde, (4, 6), threads=3)
-    assert serial == threaded
+def test_divergence_rows_equal_ft_scan(fig1, a3tilde, dinf):
+    # one pass serves both scans: each divergence row is the max_ii of a
+    # separate ft_scan at that radius, with the same tie-break
+    for system, radii in ((fig1, (0, 2, 5)), (a3tilde, (0, 3, 5)),
+                          (dinf, (0, 1, 4))):
+        table = divergence_scan(system, radii)
+        for row, radius in zip(table.rows, radii):
+            report = ft_scan(system, radius)
+            assert (row.radius, row.max_divergence, row.witness) == \
+                (radius, report.max_ii, report.witness_ii)
+
+
+def test_canonical_table_matches_canonical_word(fig1, a3tilde, ball):
+    for system in (fig1, a3tilde):
+        elements = ball(system, 6)
+        word = _canonical_words(elements)
+        for g in elements:
+            assert word(g) == canonical_word(g)
+            for s in range(system.n):
+                if s not in g.right_descents():
+                    gp = system.mul_gen(g, s)
+                    assert word(gp) == canonical_word(gp)
+                if s not in g.left_descents():
+                    gp = system.gen_mul(s, g)
+                    assert word(gp) == canonical_word(gp)
 
 
 def test_divergence_radii_validation(fig1):
