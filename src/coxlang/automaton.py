@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .core import CoxeterSystem, Element, Word, word_str
+from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
 from .language import is_in_standard_language
 from .walls import (Wall, conjugate_wall, residue_walls,
@@ -175,7 +175,7 @@ def _runner(fsa: ResidueFsa):
 def accepts(fsa: ResidueFsa, word) -> bool:
     """Whether the automaton accepts a word (indices or a string)."""
     if isinstance(word, str):
-        word = _parse_word(fsa.generators, word)
+        word = parse_word(fsa.generators, word)
     return _runner(fsa)(tuple(word))
 
 
@@ -196,16 +196,6 @@ def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
 
 
 # ----- export ---------------------------------------------------------------
-
-
-def _parse_word(names, text: str) -> Word:
-    index = {nm: i for i, nm in enumerate(names)}
-    text = text.strip()
-    if not text or text == "e":
-        return ()
-    parts = text.split() if any(c.isspace() for c in text) else (
-        list(text) if all(len(nm) == 1 for nm in names) else [text])
-    return tuple(index[p] for p in parts)
 
 
 def to_json(fsa: ResidueFsa) -> str:
@@ -231,13 +221,12 @@ def to_json(fsa: ResidueFsa) -> str:
 def from_json(text: str) -> ResidueFsa:
     doc = json.loads(text)
     names = tuple(doc["generators"])
-    index = {nm: i for i, nm in enumerate(names)}
     transitions = tuple(
         Transition(
             tr["from"],
-            tuple(index[t] for t in tr["T"]),
-            _parse_word(names, tr["w0"]),
-            tuple(_parse_word(names, w) for w in tr["labels"]),
+            parse_word(names, " ".join(tr["T"])),
+            parse_word(names, tr["w0"]),
+            tuple(parse_word(names, w) for w in tr["labels"]),
             tr["to"],
         )
         for tr in doc["transitions"]

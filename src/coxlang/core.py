@@ -2,10 +2,13 @@
 
 The geometric representation acts on the span of the simple roots; each
 generator is the B-orthogonal reflection in its simple root, where
-B(a_s, a_t) = -cos(pi/m_st).  The representation is faithful, so element
-equality is matrix equality over the exact field.  Normal forms are
-ShortLex: the first letter of nf(g) is the least left descent of g, and
-stripping it recurses.
+B(a_s, a_t) = -cos(pi/m_st).  The system stores the form as 2B, with
+2B(a_s, a_s) = 2 and 2B(a_s, a_t) = -2cos(pi/m_st), so that, like every
+generator matrix, it has entries in Z[theta] and every library value is an
+integer vector.  The representation is faithful, so element equality is
+matrix equality over the exact field.  Normal forms are ShortLex: the
+first letter of nf(g) is the least left descent of g, and stripping it
+recurses.
 
 An element carries both its matrix and the matrix of its inverse, which
 keeps left- and right-descent reads cheap and avoids matrix inversion.
@@ -78,6 +81,28 @@ def word_str(names, word: Word) -> str:
     return " ".join(names[s] for s in word)
 
 
+def parse_word(names, text: str) -> Word:
+    """Parse a word: space-separated names, or concatenated one-letter names.
+
+    "e" is the empty word, as word_str prints it, unless a generator is
+    named "e".  Raises ParseError on an unknown name.
+    """
+    index = {nm: i for i, nm in enumerate(names)}
+    text = text.strip()
+    if not text or (text == "e" and "e" not in index):
+        return ()
+    if any(ch.isspace() for ch in text):
+        parts = text.split()
+    elif all(len(nm) == 1 for nm in names):
+        parts = list(text)
+    else:
+        parts = [text]
+    for p in parts:
+        if p not in index:
+            raise ParseError(0, f"unknown generator {p!r}")
+    return tuple(index[p] for p in parts)
+
+
 def _alt(a: int, b: int, length: int) -> Word:
     return tuple(a if k % 2 == 0 else b for k in range(length))
 
@@ -105,11 +130,9 @@ class CoxeterSystem:
                   if t != s and any(self._c2[s][t]))
             for s in range(n))
 
-        # Bilinear form rows: B[s][t] = -cos(pi/m_st), B[s][s] = 1.
-        half = Fraction(-1, 2)
-        one = field.one
+        # Rows of the doubled form 2B: 2B[s][t] = -2cos(pi/m_st), 2B[s][s] = 2.
         self._bform = tuple(
-            tuple(one if i == j else field.raw_smul(half, self._c2[i][j])
+            tuple(field.two if i == j else field.raw_neg(self._c2[i][j])
                   for j in range(n))
             for i in range(n))
 
@@ -216,7 +239,7 @@ class CoxeterSystem:
         return tuple(out)
 
     def bform_dot(self, s: int, vec):
-        """B(a_s, vec) as a raw value."""
+        """2B(a_s, vec), twice the bilinear form, as a raw value."""
         mul, add = self.field.raw_mul, self.field.raw_add
         acc = self.field.zero
         for x, v in zip(self._bform[s], vec):
@@ -225,6 +248,7 @@ class CoxeterSystem:
         return acc
 
     def bilinear(self, u, v):
+        """2B(u, v), twice the bilinear form, as a raw value."""
         mul, add = self.field.raw_mul, self.field.raw_add
         acc = self.field.zero
         for i, ui in enumerate(u):
@@ -255,22 +279,8 @@ class CoxeterSystem:
     # ----- words ---------------------------------------------------------
 
     def parse_word(self, text: str) -> Word:
-        """Parse a word: space-separated names, or concatenated one-letter names."""
-        text = text.strip()
-        if not text:
-            return ()
-        if any(ch.isspace() for ch in text):
-            parts = text.split()
-        elif all(len(nm) == 1 for nm in self.matrix.names):
-            parts = list(text)
-        else:
-            parts = [text]
-        word = []
-        for p in parts:
-            if p not in self._index:
-                raise ParseError(0, f"unknown generator {p!r}")
-            word.append(self._index[p])
-        return tuple(word)
+        """Parse a word over this system's generators (see `parse_word`)."""
+        return parse_word(self.matrix.names, text)
 
     def word_str(self, word: Word) -> str:
         return word_str(self.matrix.names, word)

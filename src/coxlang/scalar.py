@@ -4,14 +4,26 @@ Every structure constant of a Coxeter geometric representation lies in the
 field generated by theta = 2cos(pi/N), where N is a common multiple of the
 finite Coxeter matrix orders.  Field elements are coefficient vectors over
 the rationals, reduced modulo the minimal polynomial psi of theta, so
-equality is coefficientwise and sign is decided by interval bisection.
-Floating point is used once, to seed the isolating interval for theta, and
-never in a decision.
+equality is coefficientwise.
+
+Signs are decided in integers.  Each field of degree >= 2 holds, once, a
+table of fixed-point enclosures lo_i <= theta^i * 2^64 <= lo_i + w_i, taken
+from a dyadic enclosure of theta narrowed by integer bisection on psi.  For
+an integer vector a, S = sum a_i*lo_i is within slack = sum |a_i|*w_i of
+a(theta) * 2^64, so S > slack proves a(theta) > 0 and S < -slack proves
+a(theta) < 0.  Each w_i is about 1 + i * theta^(i-1) * 2^-64, so at low
+degree the filter decides every value with |a(theta)| above about
+2^-63 * sum |a_i|.  Only the rest fall back to exact bisection of the
+interval for theta, with the value bounded by integer interval
+arithmetic; it always terminates, because the bounds close in on a
+nonzero value.  Floating point is used once, to seed the isolating
+interval for theta, and never in a decision.
 
 Internally a field element is a plain tuple of ints/Fractions (a "raw"
-vector); the Scalar class is a thin arithmetic wrapper around it.  Python
-guarantees hash(Fraction(k)) == hash(k), so mixed int/Fraction vectors
-compare and hash consistently.
+vector); the Scalar class is a thin arithmetic wrapper around it.  The
+library's own values are integer vectors; Fractions enter only through
+the public Scalar API.  Python guarantees hash(Fraction(k)) == hash(k), so
+mixed int/Fraction vectors compare and hash consistently.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import FieldMismatchError, InvariantViolation
 
@@ -27,6 +40,13 @@ from .errors import FieldMismatchError, InvariantViolation
 INF = math.inf
 
 Raw = tuple  # coefficient vector of ints/Fractions, length = field degree
+
+# The sign filter holds theta^i * 2^_FILTER_BITS rounded outward to
+# integers, from an enclosure of theta of width 2^-_THETA_BITS.  The extra
+# bits of theta keep the relative error of theta^i, about
+# i * 2^-_THETA_BITS, far below that of the rounding at any degree.
+_FILTER_BITS = 64
+_THETA_BITS = 128
 
 
 def _divisors(n: int) -> list[int]:
@@ -73,20 +93,35 @@ def _pk_polys(top: int) -> list[tuple[int, ...]]:
     return polys[: top + 1]
 
 
-def _eval_int_poly(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _psi_sign(psi: tuple[int, ...], x: Fraction) -> int:
+    """Sign of psi(x), from the integer psi(x) * den^deg with x = num/den."""
+    num, den = x.numerator, x.denominator
+    acc = psi[-1]
+    scale = 1
+    for c in reversed(psi[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
 
 
 def _interval_eval(coeffs: Raw, lo: Fraction, hi: Fraction):
-    # Horner with interval arithmetic; endpoints stay exact rationals.
+    """Bounds vlo <= a(x) * den^(deg-1) <= vhi for all x in [lo, hi], where
+    0 < lo, den is the common denominator of lo and hi, and a has integer
+    coefficients.
+
+    Horner with interval arithmetic on integers.  Since x > 0, a lower
+    bound is multiplied by the low end when it is nonnegative and by the
+    high end otherwise, and an upper bound the other way round.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    lnum = lo.numerator * (den // lo.denominator)
+    hnum = hi.numerator * (den // hi.denominator)
     vlo = vhi = coeffs[-1]
+    scale = 1
     for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = vlo * lo, vlo * hi, vhi * lo, vhi * hi
-        vlo = min(p1, p2, p3, p4) + c
-        vhi = max(p1, p2, p3, p4) + c
+        scale *= den
+        vlo = vlo * (lnum if vlo >= 0 else hnum) + c * scale
+        vhi = vhi * (hnum if vhi >= 0 else lnum) + c * scale
     return vlo, vhi
 
 
@@ -94,7 +129,7 @@ class CycloField:
     """The field Q(theta) with theta = 2cos(pi/n); n == 1 encodes Q itself."""
 
     __slots__ = ("n", "degree", "psi", "theta", "zero", "one", "two",
-                 "_pows", "_iso")
+                 "_pows", "_iso", "_filter")
 
     def __init__(self, n: int):
         if n < 1:
@@ -152,9 +187,10 @@ class CycloField:
         else:
             est = Fraction(2 * math.cos(math.pi / n))
             lo, hi = est - Fraction(1, 2**20), Fraction(2)
-        if not (_eval_int_poly(psi, lo) < 0 < _eval_int_poly(psi, hi)):
+        if not (_psi_sign(psi, lo) < 0 < _psi_sign(psi, hi)):
             raise InvariantViolation("isolating interval failed its sign check")
         self._iso = (lo, hi)
+        self._filter = None
 
         # Sanity anchor: p_n(theta) = 2cos(pi) = -2, so p_n + 2 must vanish.
         pn = self.raw_pk(n)
@@ -176,9 +212,6 @@ class CycloField:
 
     def raw_neg(self, a: Raw) -> Raw:
         return tuple(-x for x in a)
-
-    def raw_smul(self, q, a: Raw) -> Raw:
-        return tuple(q * x for x in a)
 
     def raw_mul(self, a: Raw, b: Raw) -> Raw:
         d = self.degree
@@ -214,25 +247,77 @@ class CycloField:
     def raw_is_zero(self, a: Raw) -> bool:
         return not any(a)
 
+    def _build_filter(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The sign filter's table: (lo_i), (w_i) with
+        lo_i <= theta^i * 2^_FILTER_BITS <= lo_i + w_i for i < degree.
+
+        theta > 0 here (degree >= 2 means n >= 4), so L/2^q <= theta <= H/2^q
+        gives L^i/2^(qi) <= theta^i <= H^i/2^(qi).  The enclosure starts from
+        the certified isolating interval and is narrowed by integer
+        bisection on psi; it also replaces that interval, so the exact
+        fallback starts from it.
+        """
+        q, p = _THETA_BITS, _FILTER_BITS
+        psi = self.psi
+        lo, hi = self._iso
+        low = math.floor(lo * 2**q)
+        high = math.ceil(hi * 2**q)
+        if not (_psi_sign(psi, Fraction(low, 2**q)) < 0
+                < _psi_sign(psi, Fraction(high, 2**q))):
+            raise InvariantViolation("theta enclosure failed its sign check")
+        while high - low > 1:
+            mid = (low + high) >> 1
+            # psi(mid / 2^q) != 0: psi is irreducible of degree >= 2.
+            if _psi_sign(psi, Fraction(mid, 2**q)) > 0:
+                high = mid
+            else:
+                low = mid
+        self._iso = (Fraction(low, 2**q), Fraction(high, 2**q))
+        los, ws = [], []
+        lpow = hpow = 1
+        for i in range(self.degree):
+            lo_i = (lpow << p) >> (q * i)
+            hi_i = -((-hpow << p) >> (q * i))
+            los.append(lo_i)
+            ws.append(hi_i - lo_i)
+            lpow *= low
+            hpow *= high
+        self._filter = (tuple(los), tuple(ws))
+        return self._filter
+
     def raw_sign(self, a: Raw) -> int:
+        """The sign of a(theta): -1, 0 or 1."""
         if not any(a):
             return 0
         if self.degree == 1:
             c = a[0]
             return 1 if c > 0 else -1
+        if any(type(x) is not int for x in a):
+            # Fraction entries (public Scalar API): a positive multiple of
+            # the vector has the same sign.
+            den = math.lcm(*(x.denominator for x in a))
+            a = tuple(int(x * den) for x in a)
+        los, ws = self._filter or self._build_filter()
+        est = sum(map(mul, a, los))
+        slack = sum(map(mul, map(abs, a), ws))
+        if est > slack:
+            return 1
+        if est < -slack:
+            return -1
+        # Exact fallback: bisect the cached interval for theta until the
+        # interval value of a excludes 0, and keep the narrower interval.
         lo, hi = self._iso
         psi = self.psi
         while True:
             vlo, vhi = _interval_eval(a, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
+            if vlo > 0 or vhi < 0:
+                self._iso = (lo, hi)
+                return 1 if vlo > 0 else -1
             mid = (lo + hi) / 2
             # psi(lo) < 0 < psi(hi) throughout; a positive value at mid
             # puts theta in the left half.  psi(mid) != 0 since psi is
             # irreducible of degree >= 2.
-            if _eval_int_poly(psi, mid) > 0:
+            if _psi_sign(psi, mid) > 0:
                 hi = mid
             else:
                 lo = mid

@@ -8,7 +8,9 @@ the identity from g are exactly the inversion walls read off any reduced
 word for g.
 
 Root vectors here are raw coefficient tuples over the system's field, in
-the simple-root basis.  All predicates reduce to exact sign tests.
+the simple-root basis.  All predicates reduce to exact sign tests of
+integer vectors: root coordinates, and values of the doubled form 2B that
+the system stores (see core).
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def inversion_walls(g: Element) -> list[Wall]:
 
 
 def walls_cross(a: Wall, b: Wall) -> bool:
-    """Whether two distinct walls intersect: |B(root_a, root_b)| < 1.
+    """Whether two distinct walls intersect: |B(root_a, root_b)| < 1,
+    tested as -2 < 2B(root_a, root_b) < 2.
 
     |B| = 1 means the walls are tangent at infinity and |B| > 1 that they
     bound nested half-spaces; both count as not crossing.
@@ -105,8 +108,8 @@ def walls_cross(a: Wall, b: Wall) -> bool:
     sysm = a.system
     field = sysm.field
     val = sysm.bilinear(a.root, b.root)
-    return (field.raw_sign(field.raw_add(val, field.one)) > 0
-            and field.raw_sign(field.raw_sub(val, field.one)) < 0)
+    return (field.raw_sign(field.raw_add(val, field.two)) > 0
+            and field.raw_sign(field.raw_sub(val, field.two)) < 0)
 
 
 def _descend_root(system: CoxeterSystem, root) -> tuple[Word, int]:

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from coxlang import (ResourceLimitError, accepts, build, canonical_word,
-                     equivalence_scan, from_json, to_dot, to_json)
+from coxlang import (ParseError, ResourceLimitError, accepts, build,
+                     canonical_word, equivalence_scan, from_json, to_dot,
+                     to_json)
 from coxlang.automaton import wall_state_key
 
 
@@ -73,6 +74,9 @@ def test_accepts_examples(machines):
     assert not accepts(machine, "strsr")
     assert not accepts(machine, "ss")
     assert not accepts(machine, "sts")
+    assert accepts(machine, "e")  # the empty word, as word_str prints it
+    with pytest.raises(ParseError):
+        accepts(machine, "sx")
 
 
 def test_equivalence_scans(machines):
@@ -117,6 +121,16 @@ def test_json_round_trip(machines):
         import itertools
         for word in itertools.product(range(system.n), repeat=k):
             assert accepts(clone, word) == accepts(machine, word)
+
+
+@pytest.mark.parametrize("field,bad", [("labels", ["sx"]), ("w0", "x"),
+                                       ("T", ["x"])])
+def test_from_json_rejects_unknown_names(machines, field, bad):
+    _, machine, _ = machines["fig1"]
+    doc = json.loads(to_json(machine))
+    doc["transitions"][0][field] = bad
+    with pytest.raises(ParseError):
+        from_json(json.dumps(doc))
 
 
 def test_dot_export_shape(machines):

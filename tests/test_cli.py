@@ -10,6 +10,8 @@ from conftest import GROUPS
 FIG1 = str(GROUPS / "fig1.cox")
 A3T = str(GROUPS / "a3tilde.cox")
 TRI = str(GROUPS / "triangle_333.cox")
+H237 = str(GROUPS / "triangle_237.cox")
+H245 = str(GROUPS / "triangle_245.cox")
 
 
 def run(capsys, *argv):
@@ -53,6 +55,13 @@ def test_lang_chunks(capsys):
         "T={r}  w=r  remainder=st",
         "T={s,t}  w=st  remainder=e",
     ]
+
+
+def test_lang_reads_back_the_empty_word(capsys):
+    code, out, _ = run(capsys, "lang", FIG1, "word", "ss")
+    assert code == 0 and out == "e\n"
+    code, out, _ = run(capsys, "lang", FIG1, "check", "e")
+    assert code == 0 and out == "in language: true\n"
 
 
 def test_lang_unknown_letter(capsys):
@@ -103,6 +112,29 @@ def test_scan_tsv(capsys):
     lines = out.splitlines()
     assert lines[0] == "radius\tK\tmax_ii\tmax_iii\twitness_g_nf\twitness_s"
     assert lines[1] == "5\t4\t4\t3\tstrsr\tt"
+
+
+@pytest.mark.parametrize("group,scan_len,summary", [
+    (H245, "4", "states: 26\ntransitions: 52\nmax wall depth: 5\n"
+                "equivalent up to length 4 (121 words)\n"),
+    (H237, "3", "states: 40\ntransitions: 67\nmax wall depth: 7\n"
+                "equivalent up to length 3 (40 words)\n"),
+])
+def test_automaton_hyperbolic(capsys, group, scan_len, summary):
+    code, out, _ = run(capsys, "automaton", group, "--scan-len", scan_len)
+    assert code == 0 and out == summary
+
+
+@pytest.mark.parametrize("group,radius,row", [
+    (H245, "5", "5\t5\t4\t5\tabcac\tb"),
+    (H237, "4", "4\t7\t2\t3\tabc\ta"),
+])
+def test_scan_hyperbolic_within_5k(capsys, group, radius, row):
+    code, out, _ = run(capsys, "scan", group, "--radius", radius)
+    assert code == 0  # exit 1 would report a 5K violation
+    assert out.splitlines()[1] == row
+    k, max_ii = (int(v) for v in out.splitlines()[1].split("\t")[1:3])
+    assert max_ii <= 5 * k
 
 
 def test_scan_deterministic(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      InvariantViolation, ParseError, PreconditionError,
                      ResourceLimitError, parse_system)
+from coxlang.core import parse_word
 from oracles import TitsBall, affine_a_ball_sizes
 
 
@@ -68,8 +69,17 @@ def test_parse_word_formats(fig1):
     assert fig1.parse_word("") == ()
     assert fig1.word_str((0, 1, 2)) == "str"
     assert fig1.word_str(()) == "e"
+    assert fig1.parse_word("e") == ()
     with pytest.raises(ParseError):
         fig1.parse_word("sxt")
+
+
+def test_parse_word_reads_e_as_a_name_when_declared():
+    assert parse_word(("e", "f"), "e") == (0,)
+    assert parse_word(("e", "f"), "fe") == (1, 0)
+    assert parse_word(("s", "t"), "e") == ()
+    with pytest.raises(ParseError):
+        parse_word(("s", "t"), "se")
 
 
 def test_multichar_names_need_spaces():
@@ -182,6 +192,21 @@ def test_length_parity_and_steps(fig1, ball):
         for s in range(fig1.n):
             h = fig1.mul_gen(g, s)
             assert abs(h.length - g.length) == 1
+
+
+def test_degree_144_field_against_rewriting_oracle():
+    # Orders 7, 8 and 9 need a field of degree 144, whose values have
+    # coefficients far larger than the values themselves.  Word rewriting
+    # never touches the field.
+    system = parse_system("generators a b c d\nm a b 7\nm b c 8\nm c d 9\n")
+    assert system.field.degree == 144
+    word = system.parse_word("abcd")
+    assert system.element(word).nf == system.tits_reduce(word) == word
+    reduced = {system.tits_reduce(w) for k in range(4)
+               for w in itertools.product(range(system.n), repeat=k)}
+    ball = system.ball(3)
+    assert {g.nf for g in ball} == reduced
+    assert all(len(system.tits_reduce(g.nf)) == g.length for g in ball)
 
 
 # ----- parabolic structure ---------------------------------------------------

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coxlang import scalar
 from coxlang.core import INF
 from coxlang.errors import FieldMismatchError
-from coxlang.scalar import CycloField, _field, field_for, two_cos
+from coxlang.scalar import CycloField, Scalar, _field, field_for, two_cos
 
 
 def test_minimal_polynomials():
@@ -96,6 +97,94 @@ def test_adversarial_near_zero_signs():
     assert (quartic + f12.scalar(1)).sign() == 0
     assert (quartic + f12.scalar(1 + Fraction(1, 10**30))).sign() == 1
     assert (quartic + f12.scalar(1 - Fraction(1, 10**30))).sign() == -1
+
+
+def _mp_value(field, coeffs):
+    """The value of a raw vector at theta, with 100 significant digits."""
+    with mpmath.workdps(100):
+        theta = 2 * mpmath.cos(mpmath.pi / field.n)
+        return sum(mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
+                   * theta**i for i, c in enumerate(coeffs))
+
+
+def _convergents(x, max_q):
+    """Continued-fraction convergents p/q of x with q <= max_q."""
+    out = []
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    with mpmath.workdps(100):
+        while True:
+            a = int(mpmath.floor(x))
+            h0, h1 = h1, a * h1 + h0
+            k0, k1 = k1, a * k1 + k0
+            if k1 > max_q:
+                return out
+            out.append((h1, k1))
+            x = 1 / (x - a)
+
+
+def _near_zero_pairs(field):
+    """Pairs (x, y) of field elements with an irrational ratio: powers
+    theta^k against 1, and p_1(theta) against p_2(theta)."""
+    one = field.scalar(1)
+    pairs = []
+    power = one
+    for _ in range(1, field.degree):
+        power = power * field.theta_scalar()
+        pairs.append((power, one))
+    if field.degree > 2:
+        pairs.append((Scalar(field, field.raw_pk(1)),
+                      Scalar(field, field.raw_pk(2))))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 30, 504])
+def test_filter_table_encloses_theta_powers(n):
+    field = CycloField(n)
+    los, ws = field._build_filter()
+    assert len(los) == len(ws) == field.degree
+    with mpmath.workdps(150):
+        theta = 2 * mpmath.cos(mpmath.pi / n)
+        for i, (lo, w) in enumerate(zip(los, ws)):
+            scaled = theta**i * 2**64
+            assert lo <= scaled <= lo + w
+            # Rounding, plus the spread of theta^i over a 2^-128 interval.
+            assert w <= 2 + i * theta**i * mpmath.mpf(2) ** -63
+        lo, hi = field._iso
+        assert hi - lo == Fraction(1, 2**128)
+        assert lo.numerator / mpmath.mpf(lo.denominator) < theta
+        assert theta < hi.numerator / mpmath.mpf(hi.denominator)
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 30])
+def test_signs_past_the_filter_match_mpmath(n, monkeypatch):
+    """q*x - p*y for convergents p/q of x/y is nonzero and within about
+    1/q of 0.  With q > 2^40 its coefficients are so much larger than its
+    value that the 64-bit filter cannot decide it, so the exact fallback
+    must; with q < 2^20 the filter decides alone.  Fraction multiples of
+    the same values take the same path."""
+    calls = []
+    real = scalar._interval_eval
+    monkeypatch.setattr(scalar, "_interval_eval",
+                        lambda *args: calls.append(1) or real(*args))
+    field = _field(n)
+    checked = 0
+    for x, y in _near_zero_pairs(field):
+        with mpmath.workdps(100):
+            ratio = _mp_value(field, x.coeffs) / _mp_value(field, y.coeffs)
+        for p, q in _convergents(ratio, 10**30):
+            if 2**20 <= q <= 2**40:
+                continue
+            for value in (q * x - p * y,
+                          Fraction(q, 7) * x - Fraction(p, 7) * y,
+                          x - Fraction(p, q) * y):
+                ref = _mp_value(field, value.coeffs)
+                # 100 digits resolve it: its terms are below 10^30.
+                assert abs(ref) > mpmath.mpf(10) ** -65
+                before = len(calls)
+                assert value.sign() == (1 if ref > 0 else -1)
+                assert (len(calls) > before) == (q > 2**40)
+                checked += 1
+    assert checked >= 12
 
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
