@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
 from .language import is_in_standard_language
-from .walls import (Wall, conjugate_wall, residue_walls,
-                    separates_vertex_from_wall, wall_of_generator, wall_set)
+from .walls import (Wall, _nearest_walls, conjugate_wall, residue_walls,
+                    wall_of_generator, wall_set)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def build(system: CoxeterSystem,
 
     start: frozenset[Wall] = frozenset()
     states = [start]
-    index = {_key_words(start): 0}
+    index = {start: 0}
     transitions = []
     pos = 0
     while pos < len(states):
@@ -105,18 +105,11 @@ def build(system: CoxeterSystem,
                 continue
             if any(w in walls for w in outside):
                 continue
-            candidates = walls | rwalls
-            kept = []
-            for a in candidates:
-                for b in candidates:
-                    if b != a and separates_vertex_from_wall(b, w0, a):
-                        break
-                else:
-                    kept.append(a)
             w0inv = w0.inverse()
-            target_walls = frozenset(conjugate_wall(w0inv, a) for a in kept)
-            key = _key_words(target_walls)
-            target = index.get(key)
+            target_walls = frozenset(
+                conjugate_wall(w0inv, a)
+                for a in _nearest_walls(walls | rwalls, w0))
+            target = index.get(target_walls)
             if target is None:
                 target = len(states)
                 if target >= max_states:
@@ -126,7 +119,7 @@ def build(system: CoxeterSystem,
                         f"automaton build exceeded {max_states} states")
                     err.report = report
                     raise err
-                index[key] = target
+                index[target_walls] = target
                 states.append(target_walls)
             transitions.append(Transition(pos, T, w0.nf, labels, target))
         pos += 1

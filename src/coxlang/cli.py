@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import automaton as fsa
@@ -28,23 +27,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    group: str
-    command: str
-    sub: str | None = None
-    word: str | None = None
-    radius: int = 0
-    scan_len: int | None = None
-    radii: tuple[int, ...] = ()
-    all_words: bool = False
-    max_states: int = 10_000
-    max_ball: int = DEFAULT_BALL_CAP
-    max_words: int = DEFAULT_WORD_CAP
-    fmt: str = "text"
-    output: str | None = None
-
-
 def _load(path: str) -> CoxeterSystem:
     try:
         text = Path(path).read_text()
@@ -53,9 +35,9 @@ def _load(path: str) -> CoxeterSystem:
     return parse_system(text)
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output:
-        Path(config.output).write_text(text)
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -65,8 +47,8 @@ def _subset_str(system: CoxeterSystem, T) -> str:
     return "{" + ",".join(names[s] for s in sorted(T)) + "}"
 
 
-def cmd_info(config: RunConfig) -> int:
-    system = _load(config.group)
+def cmd_info(args: argparse.Namespace) -> int:
+    system = _load(args.group)
     names = system.matrix.names
     print(f"generators: {' '.join(names)}")
     print("orders:")
@@ -82,15 +64,15 @@ def cmd_info(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_lang(config: RunConfig) -> int:
-    system = _load(config.group)
-    word = system.parse_word(config.word)
-    if config.sub == "check":
+def cmd_lang(args: argparse.Namespace) -> int:
+    system = _load(args.group)
+    word = system.parse_word(args.word)
+    if args.sub == "check":
         verdict = is_in_standard_language(system, word)
         print(f"in language: {'true' if verdict else 'false'}")
         return EXIT_OK
     g = system.element(word)
-    if config.sub == "word":
+    if args.sub == "word":
         print(system.word_str(canonical_word(g)))
         return EXIT_OK
     for chunk in chunk_decomposition(g):
@@ -100,18 +82,18 @@ def cmd_lang(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_automaton(config: RunConfig) -> int:
-    system = _load(config.group)
-    machine, report = fsa.build(system, max_states=config.max_states)
+def cmd_automaton(args: argparse.Namespace) -> int:
+    system = _load(args.group)
+    machine, report = fsa.build(system, max_states=args.max_states)
     mismatch = None
     scan = None
-    if config.scan_len is not None:
-        scan = fsa.equivalence_scan(machine, system, config.scan_len)
+    if args.scan_len is not None:
+        scan = fsa.equivalence_scan(machine, system, args.scan_len)
         mismatch = scan.first_mismatch
-    if config.fmt == "json":
-        _emit(fsa.to_json(machine), config)
-    elif config.fmt == "dot":
-        _emit(fsa.to_dot(machine), config)
+    if args.fmt == "json":
+        _emit(fsa.to_json(machine), args)
+    elif args.fmt == "dot":
+        _emit(fsa.to_dot(machine), args)
     else:
         lines = [f"states: {report.state_count}",
                  f"transitions: {report.transition_count}",
@@ -122,35 +104,36 @@ def cmd_automaton(config: RunConfig) -> int:
                              f"({scan.words_checked} words)")
             else:
                 lines.append(f"MISMATCH at word {system.word_str(mismatch)}")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return EXIT_OK if mismatch is None else EXIT_FINDING
 
 
-def cmd_scan(config: RunConfig) -> int:
-    system = _load(config.group)
-    report = ft_scan(system, config.radius,
-                     words="all" if config.all_words else "canonical",
-                     max_words=config.max_words, max_ball=config.max_ball)
-    render = ft_text if config.fmt == "text" else ft_tsv
-    _emit(render(report, system), config)
+def cmd_scan(args: argparse.Namespace) -> int:
+    system = _load(args.group)
+    report = ft_scan(system, args.radius,
+                     words="all" if args.all_words else "canonical",
+                     max_words=args.max_words, max_ball=args.max_ball)
+    render = ft_text if args.fmt == "text" else ft_tsv
+    _emit(render(report, system), args)
     if report.bound_ok is False:
         return EXIT_FINDING
     return EXIT_OK
 
 
-def cmd_prop(config: RunConfig) -> int:
-    system = _load(config.group)
-    report = prop_main_scan(system, config.radius, max_ball=config.max_ball)
-    render = prop_text if config.fmt == "text" else prop_tsv
-    _emit(render(report, system), config)
+def cmd_prop(args: argparse.Namespace) -> int:
+    system = _load(args.group)
+    report = prop_main_scan(system, args.radius, max_ball=args.max_ball)
+    render = prop_text if args.fmt == "text" else prop_tsv
+    _emit(render(report, system), args)
     return EXIT_OK if report.ok else EXIT_FINDING
 
 
-def cmd_divergence(config: RunConfig) -> int:
-    system = _load(config.group)
-    table = divergence_scan(system, config.radii, max_ball=config.max_ball)
-    render = divergence_text if config.fmt == "text" else divergence_tsv
-    _emit(render(table, system), config)
+def cmd_divergence(args: argparse.Namespace) -> int:
+    radii = _parse_radii(args.radii)
+    system = _load(args.group)
+    table = divergence_scan(system, radii, max_ball=args.max_ball)
+    render = divergence_text if args.fmt == "text" else divergence_tsv
+    _emit(render(table, system), args)
     return EXIT_OK
 
 
@@ -214,17 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("sub", "word", "radius", "scan_len", "all_words",
-                 "max_states", "max_ball", "max_words", "fmt", "output"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if getattr(args, "radii", None) is not None:
-        fields["radii"] = _parse_radii(args.radii)
-    return RunConfig(group=args.group, command=args.command, **fields)
-
-
 _HANDLERS = {
     "info": cmd_info,
     "lang": cmd_lang,
@@ -242,8 +214,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        config = _config(args)
-        return _HANDLERS[args.command](config)
+        return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

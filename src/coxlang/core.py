@@ -13,8 +13,10 @@ recurses.
 An element carries both its matrix and the matrix of its inverse, which
 keeps left- and right-descent reads cheap and avoids matrix inversion.
 Generator matrices differ from the identity only in one row, so one-sided
-multiplication by a generator costs O(n^2) instead of O(n^3); the hot
-loops (normal-form stripping, ball extension) use that.
+multiplication by a generator costs O(n^2) instead of O(n^3).  Every
+product the library forms is such a generator step: g·u is `mul_word(g,
+nf(u))`, and coset questions compare residue gates instead of forming
+g⁻¹·x.  The dense `Element.__mul__` is public API only.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class CoxeterSystem:
 
         for s in range(n):
             g = self._gens[s]
-            if self._mat_mul(g.mat, g.mat) != self._id_mat:
+            if self._gen_rmul(g.mat, s) != self._id_mat:
                 raise InvariantViolation("generator matrix is not an involution")
 
         self._index = {name: i for i, name in enumerate(matrix.names)}
@@ -303,7 +305,11 @@ class CoxeterSystem:
         """The element represented by a word (indices or a string)."""
         if isinstance(word, str):
             word = self.parse_word(word)
-        mat = inv = self._id_mat
+        return self.mul_word(self._identity, word)
+
+    def mul_word(self, g: "Element", word) -> "Element":
+        """g times the element of a word, one O(n^2) step per letter."""
+        mat, inv = g.mat, g.inv
         for s in word:
             if not 0 <= s < self.n:
                 raise PreconditionError(f"letter {s} out of range")
@@ -405,9 +411,12 @@ class CoxeterSystem:
                 return cur
 
     def in_residue(self, x: "Element", g: "Element", T) -> bool:
-        """Whether x lies in the residue g<T>."""
-        h = g.inverse() * x
-        return self.residue_gate(h, T).is_identity()
+        """Whether x lies in the residue g<T>.
+
+        Each coset x·W_T has a unique shortest element, its gate, so x is
+        in g<T> exactly when x and g have the same gate.
+        """
+        return self.residue_gate(x, T) == self.residue_gate(g, T)
 
     # ----- enumeration ----------------------------------------------------
 
@@ -726,10 +735,5 @@ def parse_system(text: str) -> CoxeterSystem:
         assigned[key] = (m, ln)
     if names is None:
         raise ParseError(0, "empty group definition")
-    n = len(names)
-    table = [[INF] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = 1
-    for (i, j), (m, _) in assigned.items():
-        table[i][j] = table[j][i] = m
-    return CoxeterSystem(CoxeterMatrix(tuple(names), tuple(tuple(r) for r in table)))
+    return CoxeterSystem.from_pairs(
+        names, {(names[i], names[j]): m for (i, j), (m, _) in assigned.items()})

@@ -260,7 +260,8 @@ def prop_main_scan(system: CoxeterSystem, radius: int,
                 continue
             seen.add(key)
             residues += 1
-            members = [gate * u for u in system.parabolic_elements({s, t})]
+            members = [system.mul_word(gate, u.nf)
+                       for u in system.parabolic_elements({s, t})]
             for g1 in members:
                 if g1.length > radius:
                     continue

@@ -40,7 +40,7 @@ def descent_data(g: Element) -> tuple[frozenset[int], Element, Element]:
         # contradicts the classification of descent parabolics
         raise InvariantViolation("descent set generates an infinite parabolic")
     w = system.longest_element(T)
-    return T, w, g * w
+    return T, w, system.mul_word(g, w.nf)
 
 
 def chunk_decomposition(g: Element) -> tuple[Chunk, ...]:
@@ -71,11 +71,12 @@ def is_in_standard_language(system: CoxeterSystem, word) -> bool:
         g = prefixes[pos]
         if g.is_identity():
             return False  # nonempty word for the identity is never geodesic
-        T, w, _ = descent_data(g)
+        T, w, pi = descent_data(g)
         k = w.length
         if k > pos:
             return False
-        if prefixes[pos - k].inverse() * g != w:
+        # w is an involution, so prefix⁻¹·g == w exactly when prefix == g·w.
+        if prefixes[pos - k] != pi:
             return False
         pos -= k
     return True
@@ -121,7 +122,7 @@ def check_append_lemma(g: Element, T) -> tuple[bool, bool]:
     system = g.system
     T = frozenset(T)
     w0 = system.longest_element(T)
-    gw = g * w0
+    gw = system.mul_word(g, w0.nf)
     lhs = gw.right_descents() == T
     if T & g.right_descents():
         return lhs, False

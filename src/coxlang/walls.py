@@ -186,19 +186,17 @@ def wall_set(g: Element) -> frozenset[Wall]:
     separating g from an inversion wall of g lies on a geodesic's path and
     so separates g from the identity itself.
     """
-    if g._wall_set is not None:
-        return g._wall_set
-    walls = inversion_walls(g)
-    kept = []
-    for b in walls:
-        for a in walls:
-            if a != b and separates_vertex_from_wall(a, g, b):
-                break
-        else:
-            kept.append(b)
-    result = frozenset(kept)
-    g._wall_set = result
-    return result
+    if g._wall_set is None:
+        g._wall_set = _nearest_walls(inversion_walls(g), g)
+    return g._wall_set
+
+
+def _nearest_walls(walls, x: Element) -> frozenset[Wall]:
+    """The walls b among `walls` with no other a of them between x and b."""
+    return frozenset(
+        b for b in walls
+        if not any(a != b and separates_vertex_from_wall(a, x, b)
+                   for a in walls))
 
 
 def residue_walls(system: CoxeterSystem, g: Element, T) -> frozenset[Wall]:

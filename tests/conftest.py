@@ -33,6 +33,11 @@ def triangle():
 
 
 @pytest.fixture(scope="session")
+def h237():
+    return _system("triangle_237.cox")
+
+
+@pytest.fixture(scope="session")
 def dinf():
     return _system("dihedral_inf.cox")
 

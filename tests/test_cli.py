@@ -208,3 +208,29 @@ def test_usage_errors(capsys):
     assert run(capsys, "scan", FIG1, "--radius", "-1")[0] == 2
     assert run(capsys, "prop", FIG1, "--radius", "-2")[0] == 2
     assert run(capsys, "automaton", FIG1, "--scan-len", "-1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("lang", FIG1, "check", "strst"),
+    ("automaton", FIG1, "--scan-len", "4"),
+    ("scan", FIG1, "--radius", "3"),
+    ("scan", FIG1, "--radius", "3", "--all-words"),
+    ("prop", FIG1, "--radius", "2"),
+    ("divergence", A3T, "--radii", "2,4"),
+    ("automaton", H237, "--scan-len", "3"),
+])
+def test_no_dense_product_on_cli_paths(capsys, monkeypatch, argv):
+    """Library products are generator steps; the dense O(n^3) matrix
+    product is left to the public Element.__mul__."""
+    from coxlang.core import CoxeterSystem
+    calls = []
+    dense = CoxeterSystem._mat_mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return dense(self, a, b)
+
+    monkeypatch.setattr(CoxeterSystem, "_mat_mul", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 0

@@ -288,6 +288,27 @@ def test_in_residue(fig1):
     assert fig1.in_residue(g, g, {0, 1})
 
 
+def test_in_residue_matches_rewriting_oracle(fig1, triangle, ball):
+    """x is in g<T> iff g^-1·x has a reduced word over T; every reduced
+    word of an element of W_T uses only letters of T, so the rewriting
+    oracle decides membership without the representation."""
+    for system in (fig1, triangle):
+        spherical = [frozenset(T) for size in (1, 2)
+                     for T in itertools.combinations(range(system.n), size)
+                     if system.is_finite_parabolic(T)]
+        elements = ball(system, 4)
+        hits = 0
+        for g in elements:
+            for x in elements:
+                quotient = system.tits_reduce(
+                    tuple(reversed(g.nf)) + x.nf, max_letters=8)
+                for T in spherical:
+                    expected = set(quotient) <= T
+                    assert system.in_residue(x, g, T) == expected
+                    hits += expected
+        assert hits > len(elements) * len(spherical)
+
+
 # ----- Tits rewriting ---------------------------------------------------------
 
 def test_braid_closure_examples(fig1):

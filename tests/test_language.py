@@ -23,6 +23,17 @@ def test_descent_data_example(fig1):
     assert pi * w == g
 
 
+def test_pi_is_the_gate_of_the_descent_residue(fig1, a3tilde, h237, ball):
+    """Pi(g) = g·w(g), formed by generator steps, equals the dense product,
+    the gate of g<T(g)>, and the rewriting oracle's reduced word."""
+    for system, radius in ((fig1, 6), (a3tilde, 5), (h237, 6)):
+        for g in ball(system, radius):
+            T, w, pi = descent_data(g)
+            assert pi == g * w
+            assert pi == system.residue_gate(g, T)
+            assert pi.nf == system.tits_reduce(g.nf + w.nf, max_letters=12)
+
+
 def test_descent_data_identity(fig1):
     T, w, pi = descent_data(fig1.identity)
     assert T == frozenset()
