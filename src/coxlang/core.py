@@ -16,7 +16,14 @@ Generator matrices differ from the identity only in one row, so one-sided
 multiplication by a generator costs O(n^2) instead of O(n^3).  Every
 product the library forms is such a generator step: g·u is `mul_word(g,
 nf(u))`, and coset questions compare residue gates instead of forming
-g⁻¹·x.  The dense `Element.__mul__` is public API only.
+g⁻¹·x.  The dense `_mat_mul` is their test oracle.
+
+Elements are interned: a system hands out one Element per group element,
+keyed by its matrix.  So what an element memoises serves every caller:
+normal form, descent sets (shared per system), wall set, descent data
+(T, w, Pi), and generator steps.  `mul_gen(g, s)` stores g·s on g and g
+on g·s, and `gen_mul` likewise on the left, so a repeated step is a
+lookup.  Equality and hashing read the matrix.
 """
 
 from __future__ import annotations
@@ -141,11 +148,11 @@ class CoxeterSystem:
         zero, fone = field.zero, field.one
         self._id_mat = tuple(
             tuple(fone if i == j else zero for j in range(n)) for i in range(n))
-        self._identity = Element(self, self._id_mat, self._id_mat, nf=())
-        self._gens = tuple(
-            Element(self, self._gen_rmul(self._id_mat, s),
-                    self._gen_rmul(self._id_mat, s), nf=(s,))
-            for s in range(n))
+        self._elements: dict[tuple, Element] = {}
+        self._descent_sets: dict[frozenset, frozenset] = {}
+        self._identity = self._element(self._id_mat, self._id_mat)
+        self._identity._nf = ()
+        self._gens = tuple(self.mul_gen(self._identity, s) for s in range(n))
 
         for s in range(n):
             g = self._gens[s]
@@ -157,8 +164,6 @@ class CoxeterSystem:
         self._finite_cache: dict[frozenset, bool] = {}
         self._closure_cache: dict[Word, tuple[Word, ...]] = {}
         self._root_descent_cache: dict[tuple, tuple[Word, int]] = {}
-        self._chamber_cache: dict[tuple, Element] = {}
-        self._reflection_cache: dict[tuple, Element] = {}
         self._residue_walls_cache: dict[frozenset, frozenset] = {}
         self._two_dim: bool | None = None
 
@@ -275,8 +280,12 @@ class CoxeterSystem:
             raise InvariantViolation("root vector is zero")
         return 1 if pos else -1
 
-    def _col(self, mat, s: int):
-        return tuple(mat[i][s] for i in range(self.n))
+    def _descents(self, mat) -> frozenset:
+        """The s whose column of mat is a negative root, as a frozenset
+        shared by every element with these descents."""
+        fs = frozenset(s for s in range(self.n)
+                       if self.root_sign(tuple(row[s] for row in mat)) < 0)
+        return self._descent_sets.setdefault(fs, fs)
 
     # ----- words ---------------------------------------------------------
 
@@ -307,23 +316,41 @@ class CoxeterSystem:
             word = self.parse_word(word)
         return self.mul_word(self._identity, word)
 
+    def _element(self, mat, inv) -> "Element":
+        """The one Element with this matrix, made on first sight."""
+        el = self._elements.get(mat)
+        if el is None:
+            el = self._elements[mat] = Element(self, mat, inv)
+        return el
+
     def mul_word(self, g: "Element", word) -> "Element":
-        """g times the element of a word, one O(n^2) step per letter."""
-        mat, inv = g.mat, g.inv
+        """g times the element of a word, one generator step per letter."""
         for s in word:
-            if not 0 <= s < self.n:
-                raise PreconditionError(f"letter {s} out of range")
-            mat = self._gen_rmul(mat, s)
-            inv = self._gen_lmul(s, inv)
-        return Element(self, mat, inv)
+            g = self.mul_gen(g, s)
+        return g
 
     def mul_gen(self, g: "Element", s: int) -> "Element":
-        """g * s via the O(n^2) kernel."""
-        return Element(self, self._gen_rmul(g.mat, s), self._gen_lmul(s, g.inv))
+        """g * s: the O(n^2) kernel once, kept on g, and g kept on g·s."""
+        if not 0 <= s < self.n:
+            raise PreconditionError(f"letter {s} out of range")
+        h = g._steps[s]
+        if h is None:
+            h = g._steps[s] = self._element(self._gen_rmul(g.mat, s),
+                                            self._gen_lmul(s, g.inv))
+            h._steps[s] = g
+        return h
 
     def gen_mul(self, s: int, g: "Element") -> "Element":
-        """s * g via the O(n^2) kernel."""
-        return Element(self, self._gen_lmul(s, g.mat), self._gen_rmul(g.inv, s))
+        """s * g, memoised as in mul_gen, in the left-step slots."""
+        if not 0 <= s < self.n:
+            raise PreconditionError(f"letter {s} out of range")
+        k = self.n + s
+        h = g._steps[k]
+        if h is None:
+            h = g._steps[k] = self._element(self._gen_lmul(s, g.mat),
+                                            self._gen_rmul(g.inv, s))
+            h._steps[k] = g
+        return h
 
     # ----- structure ------------------------------------------------------
 
@@ -431,7 +458,6 @@ class CoxeterSystem:
     def _closure(self, gens, radius, max_elements) -> list["Element"]:
         gens = tuple(gens)
         out = [self._identity]
-        seen = {self._id_mat}
         current = [self._identity]
         level = 0
         while current and (radius is None or level < radius):
@@ -445,11 +471,13 @@ class CoxeterSystem:
             candidates.sort(key=lambda c: c[0])
             nxt = []
             for word, g, s in candidates:
-                mat = self._gen_rmul(g.mat, s)
-                if mat in seen:
+                el = self.mul_gen(g, s)
+                # The least of the candidate words for el is its normal
+                # form; every other one is a repeat.
+                if el._nf is None:
+                    el._nf = word
+                elif el._nf != word:
                     continue
-                seen.add(mat)
-                el = Element(self, mat, self._gen_lmul(s, g.inv), nf=word)
                 nxt.append(el)
                 out.append(el)
                 if len(out) > max_elements:
@@ -595,32 +623,35 @@ def _arm_lengths(center, adj) -> list[int]:
 
 
 class Element:
-    """A group element: exact matrix pair (g, g^-1) plus cached ShortLex data."""
+    """A group element: exact matrix pair (g, g^-1) plus memoised data.
 
-    __slots__ = ("system", "mat", "inv", "_nf", "_rdesc", "_ldesc", "_hash",
-                 "_wall_set")
+    Made only by `CoxeterSystem._element`.  `_steps[s]` is g·s and
+    `_steps[n + s]` is s·g, once taken; `_descent` is (T, w, Pi).
+    """
 
-    def __init__(self, system: CoxeterSystem, mat, inv, nf: Word | None = None):
+    __slots__ = ("system", "mat", "inv", "_nf", "_rdesc", "_ldesc",
+                 "_wall_set", "_steps", "_descent")
+
+    def __init__(self, system: CoxeterSystem, mat, inv):
         self.system = system
         self.mat = mat
         self.inv = inv
-        self._nf = nf
+        self._nf = None
         self._rdesc = None
         self._ldesc = None
-        self._hash = None
         self._wall_set = None
+        self._steps = [None] * (2 * system.n)
+        self._descent = None
 
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         if other.system is not self.system:
             raise SystemMismatchError("elements of different systems")
-        sysm = self.system
-        return Element(sysm, sysm._mat_mul(self.mat, other.mat),
-                       sysm._mat_mul(other.inv, self.inv))
+        return self.system.mul_word(self, other.nf)
 
     def inverse(self) -> "Element":
-        return Element(self.system, self.inv, self.mat)
+        return self.system._element(self.inv, self.mat)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -628,9 +659,7 @@ class Element:
         return self.system is other.system and self.mat == other.mat
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.mat)
-        return self._hash
+        return hash(self.mat)
 
     def is_identity(self) -> bool:
         return self.mat == self.system._id_mat
@@ -638,37 +667,28 @@ class Element:
     def right_descents(self) -> frozenset[int]:
         """{s : l(gs) < l(g)} = {s : g sends a_s to a negative root}."""
         if self._rdesc is None:
-            sysm = self.system
-            self._rdesc = frozenset(
-                s for s in range(sysm.n)
-                if sysm.root_sign(sysm._col(self.mat, s)) < 0)
+            self._rdesc = self.system._descents(self.mat)
         return self._rdesc
 
     def left_descents(self) -> frozenset[int]:
         if self._ldesc is None:
-            sysm = self.system
-            self._ldesc = frozenset(
-                s for s in range(sysm.n)
-                if sysm.root_sign(sysm._col(self.inv, s)) < 0)
+            self._ldesc = self.system._descents(self.inv)
         return self._ldesc
 
     @property
     def nf(self) -> Word:
-        """ShortLex normal form, by greedy least-left-descent stripping."""
+        """ShortLex normal form, by greedy least-left-descent stripping,
+        down to an element whose normal form is known."""
         if self._nf is None:
-            sysm = self.system
-            mat, inv = self.mat, self.inv
-            letters = []
-            while mat != sysm._id_mat:
-                for s in range(sysm.n):
-                    if sysm.root_sign(sysm._col(inv, s)) < 0:
-                        break
-                else:
+            letters, cur = [], self
+            while cur._nf is None:
+                desc = cur.left_descents()
+                if not desc:
                     raise InvariantViolation("non-identity element with no descent")
+                s = min(desc)
                 letters.append(s)
-                mat = sysm._gen_lmul(s, mat)
-                inv = sysm._gen_rmul(inv, s)
-            self._nf = tuple(letters)
+                cur = self.system.gen_mul(s, cur)
+            self._nf = tuple(letters) + cur._nf
         return self._nf
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .core import DEFAULT_BALL_CAP, CoxeterSystem, Element, Word
 from .errors import PreconditionError
 from .language import (DEFAULT_WORD_CAP, _finite_pairs, canonical_word,
-                       check_prop_main, descent_data, language_words)
+                       check_prop_main, language_words)
 
 Witness = tuple[Word, int]
 
@@ -74,32 +74,19 @@ def k_constant(system: CoxeterSystem) -> int:
 def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
     """max over i >= 1 of l(v(i)^-1 [s] vp(i)), prefixes saturating.
 
-    The difference element is updated by one generator on each side per
-    step, and its length by +-1 via a single descent test, so each step
-    costs two sparse multiplications.
+    The difference element is updated by one generator step on each side
+    per i.  Elements are interned, and each keeps its steps and normal
+    form, so a difference element met before costs two lookups per i.  On
+    A~3 it takes only a few hundred values over a whole scan.
     """
-    if s is None:
-        d = system.identity
-        d_len = 0
-    else:
-        d = system.generator(s)
-        d_len = 1
+    d = system.identity if s is None else system.generator(s)
     best = 0
     for i in range(max(len(v), len(vp))):
         if i < len(v):
-            a = v[i]
-            drop = system.root_sign(
-                tuple(d.inv[j][a] for j in range(system.n))) < 0
-            d = system.gen_mul(a, d)
-            d_len += -1 if drop else 1
+            d = system.gen_mul(v[i], d)
         if i < len(vp):
-            b = vp[i]
-            drop = system.root_sign(
-                tuple(d.mat[j][b] for j in range(system.n))) < 0
-            d = system.mul_gen(d, b)
-            d_len += -1 if drop else 1
-        if d_len > best:
-            best = d_len
+            d = system.mul_gen(d, vp[i])
+        best = max(best, d.length)
     return best
 
 
@@ -129,35 +116,13 @@ def _better(value: int, wit: Witness, best: int, best_wit: Witness | None) -> bo
     return best_wit is None or wit < best_wit
 
 
-def _canonical_words(ball):
-    """A canonical-word lookup for a ball and its one-step neighbours.
-
-    canonical_word(x) = canonical_word(Pi(x)) + nf(w(x)), and Pi(x) is
-    strictly shorter than x.  Filling the table in length order therefore
-    costs one descent_data per element, and a neighbour x outside the ball
-    finds Pi(x) inside it.
-    """
-    table = {}
-
-    def word(x: Element) -> Word:
-        found = table.get(x)
-        if found is None:
-            T, w, pi = descent_data(x)
-            found = table[x] = table[pi] + w.nf if T else ()
-        return found
-
-    for g in ball:
-        word(g)
-    return word
-
-
 def _ascent_values(system, ball, sides, words, max_words) -> dict:
     """Per side, (l(g), value, (nf(g), s)) for g in the ball and each ascent s.
 
     Side "right" compares g with g·s; side "left" compares g with s·g,
     shifting the prefixes of g by s.  In "all" mode the value is the worst
     over every pair of standard-language words, else that of the canonical
-    words, read from one table shared by both sides.
+    words.
     """
     if words == "all":
         def value(g, gp, shift):
@@ -165,10 +130,9 @@ def _ascent_values(system, ball, sides, words, max_words) -> dict:
                        for v in language_words(g, max_words)
                        for vp in language_words(gp, max_words))
     else:
-        word = _canonical_words(ball)
-
         def value(g, gp, shift):
-            return _pair_value(system, word(g), word(gp), shift)
+            return _pair_value(system, canonical_word(g), canonical_word(gp),
+                               shift)
     out = {}
     for side in sides:
         right = side == "right"

@@ -31,16 +31,18 @@ class Chunk:
 
 
 def descent_data(g: Element) -> tuple[frozenset[int], Element, Element]:
-    """(T(g), w(g), Pi(g)); the identity yields (empty, id, id)."""
-    system = g.system
-    T = g.right_descents()
-    if not T:
-        return frozenset(), system.identity, g
-    if not system.is_finite_parabolic(T):
-        # contradicts the classification of descent parabolics
-        raise InvariantViolation("descent set generates an infinite parabolic")
-    w = system.longest_element(T)
-    return T, w, system.mul_word(g, w.nf)
+    """(T(g), w(g), Pi(g)); the identity yields (empty, id, id).
+
+    Computed once per element and kept on it.
+    """
+    if g._descent is None:
+        system, T = g.system, g.right_descents()
+        if not system.is_finite_parabolic(T):
+            # contradicts the classification of descent parabolics
+            raise InvariantViolation("descent set generates an infinite parabolic")
+        w = system.longest_element(T)
+        g._descent = T, w, system.mul_word(g, w.nf)
+    return g._descent
 
 
 def chunk_decomposition(g: Element) -> tuple[Chunk, ...]:
@@ -139,8 +141,7 @@ def _pi_chain(g: Element, steps: int) -> list[Element]:
     """[g, Pi(g), ..., Pi^steps(g)], saturating at the identity."""
     chain = [g]
     for _ in range(steps):
-        cur = chain[-1]
-        chain.append(cur if cur.is_identity() else descent_data(cur)[2])
+        chain.append(descent_data(chain[-1])[2])
     return chain
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import FieldMismatchError, InvariantViolation
+from .errors import FieldMismatchError, InvariantViolation, ResourceLimitError
 
 # Coxeter matrix entry m_st = infinity.  A distinguished marker, never a
 # large integer; the only arithmetic done with it is equality testing.
@@ -47,6 +47,10 @@ Raw = tuple  # coefficient vector of ints/Fractions, length = field degree
 # i * 2^-_THETA_BITS, far below that of the rounding at any degree.
 _FILTER_BITS = 64
 _THETA_BITS = 128
+
+# field_for refuses a larger field before any arithmetic: degree 960
+# (orders 11, 13, 17) ran for minutes, degree 240 (7, 8, 11) takes seconds.
+MAX_FIELD_DEGREE = 256
 
 
 def _divisors(n: int) -> list[int]:
@@ -382,7 +386,27 @@ def field_for(orders) -> CycloField:
         raise ValueError("off-diagonal orders must be at least 2")
     if not finite or max(finite) <= 3:
         return _field(1)
-    return _field(math.lcm(*finite))
+    n = math.lcm(*finite)
+    # The degree is phi(2n)/2 >= sqrt(n)/2, so a larger n is over the cap
+    # without factoring it.
+    degree = _totient(2 * n) // 2 if n <= 4 * MAX_FIELD_DEGREE ** 2 else None
+    if degree is None or degree > MAX_FIELD_DEGREE:
+        raise ResourceLimitError(
+            f"field Q(2cos(pi/{n})) has degree "
+            f"{degree or f'above {MAX_FIELD_DEGREE}'}, over the cap "
+            f"MAX_FIELD_DEGREE = {MAX_FIELD_DEGREE}")
+    return _field(n)
+
+
+def _totient(m: int) -> int:
+    out, p = m, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
 
 
 def two_cos(field: CycloField, m) -> "Scalar":

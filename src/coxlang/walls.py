@@ -35,13 +35,8 @@ class Wall:
     @property
     def reflection(self) -> Element:
         """The reflection fixing this wall, as an exact group element."""
-        sysm = self.system
-        cached = sysm._reflection_cache.get(self.root)
-        if cached is None:
-            letters, u = _descend_root(sysm, self.root)
-            cached = sysm.element(letters + (u,) + letters[::-1])
-            sysm._reflection_cache[self.root] = cached
-        return cached
+        letters, u = _descend_root(self.system, self.root)
+        return self.system.element(letters + (u,) + letters[::-1])
 
     def __eq__(self, other):
         if not isinstance(other, Wall):
@@ -157,13 +152,7 @@ def adjacent_chamber(wall: Wall) -> Element:
     If root = h(alpha_u) with h from the greedy descent, the edge
     (h, h·u) is dual to the wall; h is returned.
     """
-    sysm = wall.system
-    cached = sysm._chamber_cache.get(wall.root)
-    if cached is None:
-        letters, _ = _descend_root(sysm, wall.root)
-        cached = sysm.element(letters)
-        sysm._chamber_cache[wall.root] = cached
-    return cached
+    return wall.system.element(_descend_root(wall.system, wall.root)[0])
 
 
 def separates_vertex_from_wall(a: Wall, g: Element, b: Wall) -> bool:

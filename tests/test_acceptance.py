@@ -174,6 +174,25 @@ def test_c7_divergence_growth(a3tilde):
           "by word rewriting; the length-21 extension reaches 10")
 
 
+def test_c10_divergence_grows_within_the_ball(a3tilde):
+    # Past C7's radii the growth shows inside the ball itself: the maxima
+    # at radii 20 and 24 are 8 and 12.
+    table = divergence_scan(a3tilde, (20, 24))
+    vals = tuple(row.max_divergence for row in table.rows)
+    print(f"\nC10 data: max divergence at radii (20, 24) = {vals}")
+    assert vals == (8, 12)
+    assert tuple(_names(a3tilde, row.witness) for row in table.rows) == (
+        ("prpsrptprsrptprsrtps", "r"), ("prpsrptprsrptpsrptpsrtps", "r"))
+    for row in table.rows:
+        word, s = row.witness
+        g = a3tilde.element(word)
+        assert rewriting_pair_value(
+            a3tilde, canonical_word(g), canonical_word(a3tilde.mul_gen(g, s)),
+            None, max_letters=14) == row.max_divergence
+    print("C10 PASS: maxima (8, 12) at radii (20, 24), witness values "
+          "confirmed by word rewriting")
+
+
 def test_c8_oracle_agreement(fig1, triangle, dinf, a3tilde, single, ball):
     words = 0
     for system in (fig1, triangle, dinf, a3tilde, single):

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,18 @@ def test_scan_ball_cap(capsys):
                        "--max-ball", "5")
     assert code == 3
     assert "cap" in err
+
+
+def test_field_degree_cap(capsys, tmp_path):
+    # Orders 11, 13 and 17 need Q(2cos(pi/2431)), of degree 960; the cap
+    # refuses it before any field arithmetic.
+    group = tmp_path / "big.cox"
+    group.write_text("generators a b c d\nm a b 11\nm b c 13\nm c d 17\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", str(group))
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "960" in err and "256" in err
 
 
 def test_scan_all_words(capsys):

@@ -10,6 +10,7 @@ from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      InvariantViolation, ParseError, PreconditionError,
                      ResourceLimitError, parse_system)
 from coxlang.core import parse_word
+from coxlang.language import canonical_word, language_words
 from oracles import TitsBall, affine_a_ball_sizes
 
 
@@ -106,6 +107,14 @@ def test_element_accepts_indices_and_strings(fig1):
     assert fig1.element(()).is_identity()
     with pytest.raises(PreconditionError):
         fig1.element((0, 7))
+    # A letter out of range must not reach the step slots, where -1 or n
+    # would index another generator's step.
+    g = fig1.element("st")
+    for s in (-1, 3, 6):
+        with pytest.raises(PreconditionError):
+            fig1.mul_gen(g, s)
+        with pytest.raises(PreconditionError):
+            fig1.gen_mul(s, g)
 
 
 def test_commuting_pair_collapses(fig1):
@@ -192,6 +201,38 @@ def test_length_parity_and_steps(fig1, ball):
         for s in range(fig1.n):
             h = fig1.mul_gen(g, s)
             assert abs(h.length - g.length) == 1
+
+
+def test_interned_elements_match_matrices_and_rewriting(fig1, a3tilde, h237,
+                                                        ball):
+    """Each group element is one Element, and what it memoises agrees with
+    the matrix kernels and with word rewriting, over small balls and every
+    ascent neighbour of them."""
+    for system, radius in ((fig1, 6), (a3tilde, 5), (h237, 5)):
+        elements = dict.fromkeys(ball(system, radius))
+        for g in ball(system, radius):
+            for s in range(system.n):
+                if s not in g.right_descents():
+                    elements[system.mul_gen(g, s)] = None
+                if s not in g.left_descents():
+                    elements[system.gen_mul(s, g)] = None
+        for g in elements:
+            # The intern table is keyed by the matrix, which __eq__ and
+            # __hash__ read.
+            assert system._elements[g.mat] is g
+            for s in range(system.n):
+                right, left = system.mul_gen(g, s), system.gen_mul(s, g)
+                assert right.mat == system._gen_rmul(g.mat, s)
+                assert right.inv == system._gen_lmul(s, g.inv)
+                assert left.mat == system._gen_lmul(s, g.mat)
+                assert left.inv == system._gen_rmul(g.inv, s)
+                assert system.mul_gen(right, s) is g
+                assert system.gen_mul(s, left) is g
+            closure = system.braid_closure(g.nf)
+            assert all(system.element(u) is g for u in closure)
+            assert g.nf == min(closure) == system.tits_reduce(g.nf)
+            assert g.right_descents() == {u[-1] for u in closure if u}
+            assert canonical_word(g) in language_words(g)
 
 
 def test_degree_144_field_against_rewriting_oracle():
@@ -357,7 +398,11 @@ def test_word_element_laws(word):
 @settings(max_examples=40)
 def test_multiplication_consistency(u, v):
     system = _FIG1
-    assert system.element(u) * system.element(v) == system.element(u + v)
+    g, h = system.element(u), system.element(v)
+    assert g * h == system.element(u + v)
+    # Products are generator steps; the dense product is their oracle.
+    assert (g * h).mat == system._mat_mul(g.mat, h.mat)
+    assert (g * h).inv == system._mat_mul(h.inv, g.inv)
 
 
 _FIG1 = CoxeterSystem.from_pairs(

@@ -4,8 +4,8 @@ import pytest
 
 from coxlang import (PreconditionError, ResourceLimitError, divergence_scan,
                      ft_pair_divergence, ft_scan, k_constant, prop_main_scan)
-from coxlang.experiments import (_canonical_words, _pair_value, divergence_tsv,
-                                 ft_text, ft_tsv, prop_text, prop_tsv)
+from coxlang.experiments import (_pair_value, divergence_tsv, ft_text, ft_tsv,
+                                 prop_text, prop_tsv)
 from coxlang.language import canonical_word
 
 
@@ -137,21 +137,6 @@ def test_divergence_rows_equal_ft_scan(fig1, a3tilde, dinf):
             report = ft_scan(system, radius)
             assert (row.radius, row.max_divergence, row.witness) == \
                 (radius, report.max_ii, report.witness_ii)
-
-
-def test_canonical_table_matches_canonical_word(fig1, a3tilde, ball):
-    for system in (fig1, a3tilde):
-        elements = ball(system, 6)
-        word = _canonical_words(elements)
-        for g in elements:
-            assert word(g) == canonical_word(g)
-            for s in range(system.n):
-                if s not in g.right_descents():
-                    gp = system.mul_gen(g, s)
-                    assert word(gp) == canonical_word(gp)
-                if s not in g.left_descents():
-                    gp = system.gen_mul(s, g)
-                    assert word(gp) == canonical_word(gp)
 
 
 def test_divergence_radii_validation(fig1):

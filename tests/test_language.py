@@ -29,7 +29,7 @@ def test_pi_is_the_gate_of_the_descent_residue(fig1, a3tilde, h237, ball):
     for system, radius in ((fig1, 6), (a3tilde, 5), (h237, 6)):
         for g in ball(system, radius):
             T, w, pi = descent_data(g)
-            assert pi == g * w
+            assert pi.mat == system._mat_mul(g.mat, w.mat)
             assert pi == system.residue_gate(g, T)
             assert pi.nf == system.tits_reduce(g.nf + w.nf, max_letters=12)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from coxlang import scalar
 from coxlang.core import INF
-from coxlang.errors import FieldMismatchError
+from coxlang.errors import FieldMismatchError, ResourceLimitError
 from coxlang.scalar import CycloField, Scalar, _field, field_for, two_cos
 
 
@@ -39,6 +39,17 @@ def test_field_selection():
     assert field_for([2, 3, 4]).n == 12
     with pytest.raises(ValueError):
         field_for([1, 2])
+
+
+def test_field_degree_cap():
+    # field_for reads the degree as phi(2N)/2 before building the field.
+    for n in range(2, 61):
+        assert scalar._totient(2 * n) // 2 == _field(n).degree
+    assert scalar.MAX_FIELD_DEGREE == 256
+    with pytest.raises(ResourceLimitError, match="degree 960"):
+        field_for([11, 13, 17])
+    with pytest.raises(ResourceLimitError, match="above 256"):
+        field_for([2, 10**9 + 7])
 
 
 def test_two_cos_rational_values():

@@ -24,23 +24,8 @@ language words (4): strst, strts, tsrst, tsrts
 automaton: 25 states, 46 transitions, max wall depth 5
 """
 
-FT_TABLES = """\
-# fig1.cox  (K = 4)
-radius\tK\tmax_ii\tmax_iii\twitness_g_nf\twitness_s
-2\t4\t2\t1\tt\ts
-4\t4\t4\t3\tsrsr\tt
-
-# triangle_333.cox  (K = 3)
-radius\tK\tmax_ii\tmax_iii\twitness_g_nf\twitness_s
-2\t3\t2\t3\tba\tb
-4\t3\t2\t3\tabac\tb
-
-"""
-
-
 @pytest.mark.parametrize("argv,stdout", [
     (["figure_walkthrough.py"], WALKTHROUGH),
-    (["ft_tables.py", "--radii", "2,4"], FT_TABLES),
 ])
 def test_script_output(argv, stdout):
     env = dict(os.environ)
