@@ -25,6 +25,8 @@ from .language import is_in_standard_language
 from .walls import (Wall, _nearest_walls, conjugate_wall, residue_walls,
                     wall_of_generator, wall_set)
 
+MAX_SCAN_WORDS = 10**6
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -77,12 +79,7 @@ def wall_state_key(system: CoxeterSystem, g: Element) -> tuple[str, ...]:
 def build(system: CoxeterSystem,
           max_states: int = 10_000) -> tuple[ResidueFsa, BuildReport]:
     """Breadth-first state discovery from the empty wall set."""
-    subsets = []
-    for size in range(1, system.n + 1):
-        for T in itertools.combinations(range(system.n), size):
-            if system.is_finite_parabolic(T):
-                subsets.append(T)
-
+    subsets = system.spherical_subsets()
     gen_walls = [wall_of_generator(system, s) for s in range(system.n)]
     chunk = {}
     for T in subsets:
@@ -175,9 +172,22 @@ def accepts(fsa: ResidueFsa, word) -> bool:
 def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
                      max_len: int) -> EquivalenceReport:
     """Compare automaton acceptance with the membership predicate on
-    every word of length <= max_len."""
+    every word of length <= max_len.
+
+    Raises ResourceLimitError before scanning when there are more than
+    MAX_SCAN_WORDS such words.
+    """
     if max_len < 0:
         raise PreconditionError("scan length must be nonnegative")
+    n = system.n
+    # Over n >= 2 letters length 20 alone passes the cap; count to 64 at most.
+    short = min(max_len, 64)
+    words = (n ** (short + 1) - 1) // (n - 1) if n > 1 else max_len + 1
+    if words > MAX_SCAN_WORDS:
+        more = "more than " if n > 1 and short < max_len else ""
+        raise ResourceLimitError(
+            f"scan to length {max_len} would check {more}{words} words, "
+            f"over the cap MAX_SCAN_WORDS = {MAX_SCAN_WORDS}")
     run = _runner(fsa)
     checked = 0
     for length in range(max_len + 1):

@@ -214,6 +214,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        for cap in ("max_ball", "max_words", "max_states"):
+            if getattr(args, cap, 0) < 0:
+                raise PreconditionError(
+                    f"--{cap.replace('_', '-')} must be at least 0")
         return _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,9 +28,8 @@ lookup.  Equality and hashing read the matrix.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (InfiniteParabolicError, InvariantViolation, ParseError,
                      PreconditionError, ResourceLimitError,
@@ -165,7 +164,7 @@ class CoxeterSystem:
         self._closure_cache: dict[Word, tuple[Word, ...]] = {}
         self._root_descent_cache: dict[tuple, tuple[Word, int]] = {}
         self._residue_walls_cache: dict[frozenset, frozenset] = {}
-        self._two_dim: bool | None = None
+        self._spherical: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_pairs(cls, names, orders: dict) -> "CoxeterSystem":
@@ -355,53 +354,61 @@ class CoxeterSystem:
     # ----- structure ------------------------------------------------------
 
     def is_two_dimensional(self) -> bool:
-        """True iff every triple of generators spans an infinite parabolic,
-        i.e. 1/m_st + 1/m_sr + 1/m_tr <= 1 for all triples."""
-        if self._two_dim is None:
-            ok = True
-            for i, j, k in itertools.combinations(range(self.n), 3):
-                total = Fraction(0)
-                for a, b in ((i, j), (i, k), (j, k)):
-                    m = self.matrix.orders[a][b]
-                    if m != INF:
-                        total += Fraction(1, m)
-                if total > 1:
-                    ok = False
-                    break
-            self._two_dim = ok
-        return self._two_dim
+        """True iff no spherical subset has size 3: every triple of
+        generators has 1/m_st + 1/m_sr + 1/m_tr <= 1."""
+        return not any(len(T) == 3 for T in self.spherical_subsets())
 
     def is_finite_parabolic(self, T) -> bool:
-        """Whether <T> is finite, by Coxeter diagram classification."""
+        """Whether <T> is finite: exactly when B restricted to T is
+        positive definite (Humphreys, Reflection Groups and Coxeter
+        Groups, 1990, 6.4; Bourbaki, Lie IV-VI, Ch. V 4.8)."""
         T = frozenset(T)
         if T not in self._finite_cache:
             self._finite_cache[T] = self._classify_finite(T)
         return self._finite_cache[T]
 
     def _classify_finite(self, T: frozenset) -> bool:
-        orders = self.matrix.orders
-        verts = sorted(T)
-        for a, b in itertools.combinations(verts, 2):
-            if orders[a][b] == INF:
+        """Positive definiteness of 2B on T, by division-free elimination.
+
+        The pivot a must be positive; with b the rest of its column, the
+        remaining block M' becomes a·M' - b·bᵀ, a positive multiple of the
+        Schur complement.  So every entry stays in Z[theta] and every
+        decision is an exact sign.  Rows with rational entries go first,
+        and each step divides out the integer content, which for integer
+        entries is Bareiss's exact division; otherwise the coefficients
+        double in size at every step.
+        """
+        field, bform = self.field, self._bform
+        mul, sub = field.raw_mul, field.raw_sub
+        verts = sorted(T, key=lambda i: (any(any(bform[i][j][1:]) for j in T), i))
+        m = [[bform[i][j] for j in verts] for i in verts]
+        while m:
+            a, b = m[0][0], m[0][1:]
+            if field.raw_sign(a) <= 0:
                 return False
-        # connected components of the diagram (edges where m >= 3)
-        adj = {v: [u for u in verts if u != v and orders[v][u] >= 3] for v in verts}
-        seen = set()
-        for v in verts:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                comp.append(x)
-                stack.extend(adj[x])
-            if not _finite_component(comp, adj, orders):
-                return False
+            m = [[sub(mul(a, x), mul(bi, bj)) for x, bj in zip(row[1:], b)]
+                 for row, bi in zip(m[1:], b)]
+            g = math.gcd(*(c for row in m for x in row for c in x)) or 1
+            m = [[tuple(c // g for c in x) for x in row] for row in m]
         return True
+
+    def spherical_subsets(self) -> tuple[tuple[int, ...], ...]:
+        """Every nonempty T with <T> finite, as sorted tuples, ordered by
+        size and then lexicographically.
+
+        Finiteness passes to subsets, so each spherical T is a smaller
+        spherical T extended by a larger letter, and the work follows the
+        output rather than the 2^n subsets.
+        """
+        if self._spherical is None:
+            out, level = [], [()]
+            while level:
+                level = [T + (s,) for T in level
+                         for s in range(T[-1] + 1 if T else 0, self.n)
+                         if self.is_finite_parabolic(T + (s,))]
+                out.extend(level)
+            self._spherical = tuple(out)
+        return self._spherical
 
     def longest_element(self, T) -> "Element":
         """Longest element of the standard parabolic <T>, by greedy ascent."""
@@ -558,68 +565,6 @@ def _first_repeat(w: Word):
         if w[i] == w[i + 1]:
             return i
     return None
-
-
-def _finite_component(comp, adj, orders) -> bool:
-    """Classify one connected diagram component against the finite catalog:
-    A, B/C, D, E6, E7, E8, F4, H3, H4, and the dihedral I2(m)."""
-    r = len(comp)
-    if r == 1:
-        return True
-    if r == 2:
-        return True  # any finite label; INF was rejected earlier
-    edges = [(a, b) for a, b in itertools.combinations(sorted(comp), 2)
-             if orders[a][b] >= 3]
-    if len(edges) != r - 1:
-        return False  # a cycle: affine or worse
-    labels = sorted(orders[a][b] for a, b in edges if orders[a][b] >= 4)
-    if labels and labels[-1] >= 6:
-        return False
-    if len(labels) >= 2:
-        return False
-    deg = {v: len(adj[v]) for v in comp}
-    if max(deg.values()) >= 4:
-        return False
-    branch = [v for v in comp if deg[v] == 3]
-    if not labels:
-        if not branch:
-            return True  # type A path
-        if len(branch) > 1:
-            return False
-        arms = sorted(_arm_lengths(branch[0], adj))
-        if arms[0] == 1 and arms[1] == 1:
-            return True  # type D
-        return arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4])  # E6, E7, E8
-    # exactly one label 4 or 5, which forces a path
-    if branch:
-        return False
-    label = labels[0]
-    (a, b), = [(a, b) for a, b in edges if orders[a][b] == label]
-    at_end = deg[a] == 1 or deg[b] == 1
-    if label == 4:
-        if at_end:
-            return True  # type B
-        return r == 4  # F4 is the only interior-4 path
-    # label == 5
-    return at_end and r in (3, 4)  # H3, H4
-
-
-def _arm_lengths(center, adj) -> list[int]:
-    arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxts = [u for u in adj[cur] if u != prev]
-            if not nxts:
-                break
-            if len(nxts) > 1:
-                # second branch point: caller rejects via branch count
-                break
-            prev, cur = cur, nxts[0]
-            length += 1
-        arms.append(length)
-    return arms
 
 
 class Element:

@@ -13,7 +13,6 @@ independent of iteration order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import DEFAULT_BALL_CAP, CoxeterSystem, Element, Word
@@ -63,12 +62,8 @@ class PropMainReport:
 
 def k_constant(system: CoxeterSystem) -> int:
     """Max chunk length: the longest w0 over finite standard parabolics."""
-    best = 0
-    for size in range(1, system.n + 1):
-        for T in itertools.combinations(range(system.n), size):
-            if system.is_finite_parabolic(T):
-                best = max(best, system.longest_element(T).length)
-    return best
+    return max((system.longest_element(T).length
+                for T in system.spherical_subsets()), default=0)
 
 
 def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:

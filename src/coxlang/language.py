@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .core import CoxeterSystem, Element, Word
 from .errors import InvariantViolation, PreconditionError, ResourceLimitError
-from .scalar import INF
 from .walls import conjugate_wall, wall_of_generator, wall_set
 
 DEFAULT_WORD_CAP = 100_000
@@ -85,9 +84,13 @@ def is_in_standard_language(system: CoxeterSystem, word) -> bool:
 
 
 def canonical_word(g: Element) -> Word:
-    """The representative spelling each chunk by its ShortLex reduced word."""
-    parts = [c.longest.nf for c in reversed(chunk_decomposition(g))]
-    return tuple(itertools.chain.from_iterable(parts))
+    """The representative spelling each chunk by its ShortLex reduced
+    word; the chunks are read off the Pi chain of g."""
+    parts, identity = [], g.system.identity
+    while g is not identity:
+        _, w, g = descent_data(g)
+        parts.append(w.nf)
+    return tuple(itertools.chain.from_iterable(reversed(parts)))
 
 
 def language_words(g: Element, max_words: int = DEFAULT_WORD_CAP) -> tuple[Word, ...]:
@@ -147,12 +150,8 @@ def _pi_chain(g: Element, steps: int) -> list[Element]:
 
 def _finite_pairs(system: CoxeterSystem) -> list[tuple[int, int]]:
     """All (p, r) with p <= r spanning a finite parabolic (p = r allowed)."""
-    pairs = []
-    for p in range(system.n):
-        for r in range(p, system.n):
-            if p == r or system.matrix.orders[p][r] != INF:
-                pairs.append((p, r))
-    return pairs
+    return sorted((T[0], T[-1]) for T in system.spherical_subsets()
+                  if len(T) <= 2)
 
 
 def check_prop_main(g: Element, g_prime: Element, s: int, t: int):
@@ -166,7 +165,7 @@ def check_prop_main(g: Element, g_prime: Element, s: int, t: int):
     system = g.system
     if not system.is_two_dimensional():
         raise PreconditionError("the residue witness search needs a 2-dimensional system")
-    if s != t and system.matrix.orders[s][t] == INF:
+    if not system.is_finite_parabolic({s, t}):
         raise PreconditionError("the pair (s, t) must span a finite parabolic")
     if not system.in_residue(g_prime, g, {s, t}):
         raise PreconditionError("g' must lie in the residue g<s, t>")

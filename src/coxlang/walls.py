@@ -16,8 +16,7 @@ the system stores (see core).
 from __future__ import annotations
 
 from .core import CoxeterSystem, Element, Word
-from .errors import (InfiniteParabolicError, InvariantViolation,
-                     PreconditionError)
+from .errors import InvariantViolation, PreconditionError
 
 NEAR = "near"
 FAR = "far"
@@ -193,9 +192,7 @@ def residue_walls(system: CoxeterSystem, g: Element, T) -> frozenset[Wall]:
     T = frozenset(T)
     base = system._residue_walls_cache.get(T)
     if base is None:
-        if not system.is_finite_parabolic(T):
-            raise InfiniteParabolicError("residue walls need a finite parabolic")
-        w0 = system.longest_element(T)
+        w0 = system.longest_element(T)  # raises InfiniteParabolicError
         base = frozenset(inversion_walls(w0))
         if len(base) != w0.length:
             raise InvariantViolation("residue wall count != l(w0)")

@@ -163,6 +163,28 @@ def test_field_degree_cap(capsys, tmp_path):
     assert "960" in err and "256" in err
 
 
+def test_equivalence_scan_cap(capsys):
+    # 3^0 + ... + 3^30 words; the cap refuses them before the scan.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "automaton", FIG1, "--scan-len", "30")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "308836698141973 words" in err and "MAX_SCAN_WORDS = 1000000" in err
+
+
+def test_free_product_of_30_generators(capsys, tmp_path):
+    """Spherical subsets are found from spherical ones, so 30 pairwise
+    free generators cost 435 pair tests, not 2^30 subsets."""
+    group = tmp_path / "free30.cox"
+    group.write_text("generators " + " ".join(f"g{i}" for i in range(30)) + "\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "info", str(group))
+    assert code == 0 and "2-dimensional: yes; K = 1" in out
+    code, out, _ = run(capsys, "automaton", str(group))
+    assert code == 0 and out.startswith("states: ")
+    assert time.perf_counter() - start < 5
+
+
 def test_scan_all_words(capsys):
     code, out, _ = run(capsys, "scan", FIG1, "--radius", "3", "--all-words",
                        "--format", "text")
@@ -221,6 +243,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "scan", FIG1, "--radius", "-1")[0] == 2
     assert run(capsys, "prop", FIG1, "--radius", "-2")[0] == 2
     assert run(capsys, "automaton", FIG1, "--scan-len", "-1")[0] == 2
+    assert run(capsys, "scan", FIG1, "--radius", "2", "--max-ball", "-1")[0] == 2
+    assert run(capsys, "prop", FIG1, "--radius", "0", "--max-ball", "-1")[0] == 2
+    assert run(capsys, "divergence", FIG1, "--radii", "2",
+               "--max-ball", "-1")[0] == 2
+    assert run(capsys, "scan", FIG1, "--radius", "2", "--all-words",
+               "--max-words", "-1")[0] == 2
+    assert run(capsys, "automaton", FIG1, "--max-states", "-1")[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

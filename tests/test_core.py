@@ -1,6 +1,8 @@
 """Core system construction, words, elements, balls, parabolics."""
 
 import itertools
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      ResourceLimitError, parse_system)
 from coxlang.core import parse_word
 from coxlang.language import canonical_word, language_words
+from conftest import GROUPS
 from oracles import TitsBall, affine_a_ball_sizes
 
 
@@ -280,6 +283,134 @@ def test_parabolic_orders_match_catalog(fig1, a3tilde):
     assert len(a3tilde.parabolic_elements({0, 1, 2})) == 24
     with pytest.raises(ResourceLimitError):
         fig1.parabolic_elements({0, 1, 2}, max_elements=500)
+
+
+def _diagram(rank, edges):
+    """A system from a Coxeter diagram: edges {(i, j): m}, other pairs
+    commute (order 2)."""
+    names = tuple(f"g{i}" for i in range(rank))
+    return CoxeterSystem.from_pairs(
+        names, {(names[i], names[j]): edges.get((i, j), 2)
+                for i, j in itertools.combinations(range(rank), 2)})
+
+
+def _path(labels):
+    """Edges of a path whose k-th edge has order labels[k]."""
+    return {(k, k + 1): m for k, m in enumerate(labels)}
+
+
+def _star(arms):
+    """Edges (order 3) of a tree: node 0 with arms of the given lengths."""
+    edges, nxt = {}, 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges[prev, nxt] = 3
+            prev, nxt = nxt, nxt + 1
+    return 1 + sum(arms), edges
+
+
+def _named_diagrams():
+    """(name, rank, edges, finite): the finite and affine diagrams, and
+    two hyperbolic ones."""
+    out = []
+    for n in range(1, 9):
+        out.append((f"A{n}", n, _path([3] * (n - 1)), True))
+    for n in range(2, 9):
+        out.append((f"B{n}", n, _path([3] * (n - 2) + [4]), True))
+    for n in range(4, 9):
+        out.append((f"D{n}", n, {**_path([3] * (n - 2)), (n - 3, n - 1): 3},
+                    True))
+    for name, arms in (("E6", (1, 2, 2)), ("E7", (1, 2, 3)), ("E8", (1, 2, 4))):
+        out.append((name, *_star(arms), True))
+    out.append(("F4", 4, _path([3, 4, 3]), True))
+    out.append(("H3", 3, _path([5, 3]), True))
+    out.append(("H4", 4, _path([5, 3, 3]), True))
+    for m in range(2, 13):
+        out.append((f"I2({m})", 2, {(0, 1): m}, True))
+    out.append(("A~1", 2, {(0, 1): INF}, False))
+    for n in range(2, 8):
+        out.append((f"A~{n}", n + 1,
+                    {**_path([3] * n), (0, n): 3}, False))
+    for n in range(3, 8):
+        out.append((f"B~{n}", n + 1,
+                    {(0, 2): 3, (1, 2): 3,
+                     **{(k, k + 1): 3 for k in range(2, n - 1)},
+                     (n - 1, n): 4}, False))
+    for n in range(2, 8):
+        out.append((f"C~{n}", n + 1, _path([4] + [3] * (n - 2) + [4]), False))
+    for n in range(4, 8):
+        out.append((f"D~{n}", n + 1,
+                    {(0, 2): 3, (1, 2): 3,
+                     **{(k, k + 1): 3 for k in range(2, n - 2)},
+                     (n - 2, n - 1): 3, (n - 2, n): 3}, False))
+    for name, arms in (("E~6", (2, 2, 2)), ("E~7", (1, 3, 3)),
+                       ("E~8", (1, 2, 5)), ("tree (2,2,3)", (2, 2, 3))):
+        out.append((name, *_star(arms), False))
+    out.append(("F~4", 5, _path([3, 3, 4, 3]), False))
+    out.append(("G~2", 3, _path([6, 3]), False))
+    out.append(("5-3-3-3 path", 5, _path([5, 3, 3, 3]), False))
+    return out
+
+
+NAMED = _named_diagrams()
+
+
+@pytest.mark.parametrize("name,rank,edges,finite", NAMED,
+                         ids=[d[0] for d in NAMED])
+def test_finite_parabolic_verdicts_on_named_diagrams(name, rank, edges, finite):
+    system = _diagram(rank, edges)
+    assert system.is_finite_parabolic(range(rank)) is finite
+    # Every proper subdiagram of an affine diagram is finite.
+    if "~" in name:
+        assert all(system.is_finite_parabolic(set(range(rank)) - {v})
+                   for v in range(rank))
+
+
+def test_rank_three_rule():
+    """<s, t, r> is finite iff 1/p + 1/q + 1/r > 1, over every table."""
+    values = (2, 3, 4, 5, 6, 7, INF)
+    for p, q, r in itertools.product(values, repeat=3):
+        system = _diagram(3, {(0, 1): p, (0, 2): q, (1, 2): r})
+        total = sum(Fraction(1, m) for m in (p, q, r) if m != INF)
+        assert system.is_finite_parabolic({0, 1, 2}) == (total > 1), (p, q, r)
+        assert system.is_two_dimensional() == (total <= 1), (p, q, r)
+
+
+@pytest.mark.parametrize("rank,edges,order", [
+    (4, _path([3, 3, 3]), 120),       # A4
+    (4, _path([3, 3, 4]), 384),       # B4
+    (4, {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 192),  # D4
+    (4, _path([3, 4, 3]), 1152),      # F4
+    (3, _path([5, 3]), 120),          # H3
+])
+def test_finite_parabolic_orders(rank, edges, order):
+    system = _diagram(rank, edges)
+    assert len(system.parabolic_elements(range(rank))) == order
+
+
+def test_criterion_stays_fast_at_high_rank():
+    """Rational rows go first and each step divides out the integer
+    content; without either, coefficients double in size at every step
+    (H3 x A11 then takes about 5 s, A24 about 30 s)."""
+    cases = [(24, _path([3] * 23), True),                            # A24
+             (24, _path([4] + [3] * 22), True),                      # B24
+             (24, {**_path([3] * 22), (21, 23): 3}, True),           # D24
+             (24, {**_path([3] * 23), (0, 23): 3}, False),           # A~23
+             (14, {**_path([2] * 3 + [3] * 10), **_path([5, 3])}, True)]  # H3 x A11
+    start = time.perf_counter()
+    for rank, edges, finite in cases:
+        assert _diagram(rank, edges).is_finite_parabolic(range(rank)) is finite
+    assert time.perf_counter() - start < 2
+
+
+def test_spherical_subsets_match_the_subset_filter():
+    for path in sorted(GROUPS.glob("*.cox")):
+        system = parse_system(path.read_text())
+        expected = tuple(T for size in range(1, system.n + 1)
+                         for T in itertools.combinations(range(system.n), size)
+                         if system.is_finite_parabolic(T))
+        assert system.spherical_subsets() == expected, path.name
 
 
 def test_longest_elements(fig1, a3tilde):
