@@ -14,10 +14,9 @@ from .experiments import (DivergenceRow, DivergenceTable, FtReport,
 from .language import (Chunk, canonical_word, check_append_lemma,
                        check_prop_main, chunk_decomposition, descent_data,
                        is_in_standard_language, language_words)
-from .walls import (FAR, NEAR, Wall, adjacent_chamber, conjugate_wall,
-                    inversion_walls, residue_walls, separates_vertex_from_wall,
-                    side, wall_from_root, wall_of_generator, wall_set,
-                    walls_cross)
+from .walls import (FAR, NEAR, Wall, conjugate_wall, inversion_walls,
+                    residue_walls, separates_vertex_from_wall, side,
+                    wall_from_root, wall_of_generator, wall_set, walls_cross)
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "FAR", "FieldMismatchError", "FtReport", "INF", "InfiniteParabolicError",
     "InvariantViolation", "NEAR", "ParseError", "PreconditionError",
     "PropMainReport", "ResidueFsa", "ResourceLimitError", "SystemMismatchError",
-    "Transition", "Wall", "Word", "accepts", "adjacent_chamber", "build",
+    "Transition", "Wall", "Word", "accepts", "build",
     "canonical_word", "check_append_lemma", "check_prop_main",
     "chunk_decomposition", "conjugate_wall", "descent_data",
     "divergence_scan", "equivalence_scan", "from_json", "ft_pair_divergence",

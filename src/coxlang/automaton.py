@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
 from .language import is_in_standard_language
-from .walls import (Wall, _nearest_walls, conjugate_wall, residue_walls,
-                    wall_of_generator, wall_set)
+from .walls import (Wall, _nearest_walls, conjugate_wall, inversion_walls,
+                    residue_walls, wall_of_generator)
 
 MAX_SCAN_WORDS = 10**6
 
@@ -64,30 +64,37 @@ class EquivalenceReport:
         return self.first_mismatch is None
 
 
-def _key_words(walls) -> tuple[Word, ...]:
-    return tuple(sorted((w.reflection.nf for w in walls),
-                        key=lambda u: (len(u), u)))
+def _render(system: CoxeterSystem, states):
+    """Each wall set as its reflection words, shortest first, then
+    lexicographically, and the longest word's length.  Each distinct wall
+    forms its reflection once."""
+    words = {w: w.reflection.nf for w in frozenset().union(*states)}
+    keys = [sorted((words[w] for w in st), key=lambda u: (len(u), u))
+            for st in states]
+    depth = max((len(key[-1]) for key in keys if key), default=0)
+    return tuple(tuple(system.word_str(u) for u in key) for key in keys), depth
 
 
 def wall_state_key(system: CoxeterSystem, g: Element) -> tuple[str, ...]:
-    """The state reached after spelling g: its wall set pulled back by g."""
-    ginv = g.inverse()
-    pulled = [conjugate_wall(ginv, w) for w in wall_set(g)]
-    return tuple(system.word_str(w) for w in _key_words(pulled))
+    """The state reached after spelling g: its wall set pulled back by g,
+    which is the nearest of the inversion walls of g^-1."""
+    walls = _nearest_walls(inversion_walls(g.inverse()))
+    return _render(system, [walls])[0][0]
 
 
 def build(system: CoxeterSystem,
           max_states: int = 10_000) -> tuple[ResidueFsa, BuildReport]:
     """Breadth-first state discovery from the empty wall set."""
     subsets = system.spherical_subsets()
-    gen_walls = [wall_of_generator(system, s) for s in range(system.n)]
     chunk = {}
     for T in subsets:
         w0 = system.longest_element(T)
-        outside = [conjugate_wall(w0, gen_walls[t])
-                   for t in range(system.n) if t not in T]
+        # w0 permutes the generator walls of T, and takes each outside
+        # generator wall to its far-side image
+        blocked = {conjugate_wall(w0, wall_of_generator(system, t))
+                   for t in range(system.n)}
         labels = tuple(sorted(system.braid_closure(w0.nf)))
-        chunk[T] = (w0, outside, labels, residue_walls(system, system.identity, T))
+        chunk[T] = (w0, blocked, labels, residue_walls(system, system.identity, T))
 
     start: frozenset[Wall] = frozenset()
     states = [start]
@@ -97,21 +104,18 @@ def build(system: CoxeterSystem,
     while pos < len(states):
         walls = states[pos]
         for T in subsets:
-            w0, outside, labels, rwalls = chunk[T]
-            if any(gen_walls[t] in walls for t in T):
+            w0, blocked, labels, rwalls = chunk[T]
+            if not walls.isdisjoint(blocked):
                 continue
-            if any(w in walls for w in outside):
-                continue
-            w0inv = w0.inverse()
-            target_walls = frozenset(
-                conjugate_wall(w0inv, a)
-                for a in _nearest_walls(walls | rwalls, w0))
+            target_walls = _nearest_walls(
+                rwalls.union(conjugate_wall(w0, a) for a in walls))
             target = index.get(target_walls)
             if target is None:
                 target = len(states)
                 if target >= max_states:
                     report = BuildReport(len(states), len(transitions),
-                                         _max_depth(states), truncated=True)
+                                         _render(system, states)[1],
+                                         truncated=True)
                     err = ResourceLimitError(
                         f"automaton build exceeded {max_states} states")
                     err.report = report
@@ -121,20 +125,10 @@ def build(system: CoxeterSystem,
             transitions.append(Transition(pos, T, w0.nf, labels, target))
         pos += 1
 
-    state_strings = tuple(
-        tuple(system.word_str(w) for w in _key_words(st)) for st in states)
+    state_strings, depth = _render(system, states)
     fsa = ResidueFsa(system.matrix.names, state_strings, tuple(transitions), 0)
-    report = BuildReport(len(states), len(transitions), _max_depth(states),
-                         truncated=False)
+    report = BuildReport(len(states), len(transitions), depth, truncated=False)
     return fsa, report
-
-
-def _max_depth(states) -> int:
-    depth = 0
-    for st in states:
-        for w in st:
-            depth = max(depth, w.reflection.length)
-    return depth
 
 
 def _runner(fsa: ResidueFsa):

@@ -162,7 +162,6 @@ class CoxeterSystem:
         self._w0_cache: dict[frozenset, Element] = {}
         self._finite_cache: dict[frozenset, bool] = {}
         self._closure_cache: dict[Word, tuple[Word, ...]] = {}
-        self._root_descent_cache: dict[tuple, tuple[Word, int]] = {}
         self._residue_walls_cache: dict[frozenset, frozenset] = {}
         self._spherical: tuple[tuple[int, ...], ...] | None = None
 
@@ -464,6 +463,9 @@ class CoxeterSystem:
 
     def _closure(self, gens, radius, max_elements) -> list["Element"]:
         gens = tuple(gens)
+        if max_elements < 1:
+            raise ResourceLimitError(
+                f"element enumeration exceeded cap {max_elements}")
         out = [self._identity]
         current = [self._identity]
         level = 0

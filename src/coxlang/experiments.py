@@ -61,9 +61,13 @@ class PropMainReport:
 
 
 def k_constant(system: CoxeterSystem) -> int:
-    """Max chunk length: the longest w0 over finite standard parabolics."""
-    return max((system.longest_element(T).length
-                for T in system.spherical_subsets()), default=0)
+    """Max chunk length: the longest w0 over finite standard parabolics.
+    l(w0(T)) counts the reflections of <T>, so it grows with T, and only
+    the maximal spherical T are measured."""
+    found = set(system.spherical_subsets())
+    return max((system.longest_element(T).length for T in found
+                if not any(tuple(sorted(T + (s,))) in found
+                           for s in range(system.n))), default=0)
 
 
 def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:

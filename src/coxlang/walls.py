@@ -2,10 +2,15 @@
 
 A wall is the fixed locus of a reflection (a conjugate of a generator); it
 is identified with the positive one of the two opposite roots the
-reflection negates.  Each wall splits the chambers into a near side
-(containing the identity chamber) and a far side, and the walls separating
-the identity from g are exactly the inversion walls read off any reduced
-word for g.
+reflection negates, and the reflection is read off that root.  Each wall
+splits the chambers into a near side (containing the identity chamber)
+and a far side, and the walls separating the identity from g are exactly
+the inversion walls read off any reduced word for g.  Which of two walls
+lies between a chamber and the other is asked at the identity, after
+pulling both back, and answered by root dominance (Brink & Howlett 1993,
+"A finiteness property and an automatic structure for Coxeter groups";
+Björner & Brenti 2005, Combinatorics of Coxeter Groups, 4.7; see
+`_farther`).
 
 Root vectors here are raw coefficient tuples over the system's field, in
 the simple-root basis.  All predicates reduce to exact sign tests of
@@ -15,7 +20,7 @@ the system stores (see core).
 
 from __future__ import annotations
 
-from .core import CoxeterSystem, Element, Word
+from .core import CoxeterSystem, Element
 from .errors import InvariantViolation, PreconditionError
 
 NEAR = "near"
@@ -33,9 +38,15 @@ class Wall:
 
     @property
     def reflection(self) -> Element:
-        """The reflection fixing this wall, as an exact group element."""
-        letters, u = _descend_root(self.system, self.root)
-        return self.system.element(letters + (u,) + letters[::-1])
+        """The reflection v -> v - 2B(root, v)·root, its own inverse."""
+        sysm, root = self.system, self.root
+        field = sysm.field
+        mat = tuple(
+            tuple(field.raw_sub(field.one if i == j else field.zero,
+                                field.raw_mul(ri, sysm.bform_dot(j, root)))
+                  for j in range(sysm.n))
+            for i, ri in enumerate(root))
+        return sysm._element(mat, mat)
 
     def __eq__(self, other):
         if not isinstance(other, Wall):
@@ -106,65 +117,33 @@ def walls_cross(a: Wall, b: Wall) -> bool:
             and field.raw_sign(field.raw_sub(val, field.two)) < 0)
 
 
-def _descend_root(system: CoxeterSystem, root) -> tuple[Word, int]:
-    """Greedy descent of a positive root to a simple one.
+def _farther(a: Wall, b: Wall) -> Wall | None:
+    """Of two distinct walls, the one the other separates from the identity.
 
-    Repeatedly applies the least simple reflection s with B(alpha_s, root)
-    > 0; each step reduces the depth of the root by one, so the letter
-    sequence is a geodesic from the fundamental chamber to the wall.
-    Returns (letters, u) with root = s_1…s_k(alpha_u).
+    When B(a, b) < 1, neither: the identity lies between them, or they
+    cross.  When B(a, b) >= 1 (2B >= 2), the reflections generate an
+    infinite dihedral group and a, b lie on one chain of its positive
+    roots, whose coefficients grow away from the identity; so the farther
+    root minus the nearer is nonnegative.  root_sign raises on mixed signs.
     """
-    cached = system._root_descent_cache.get(root)
-    if cached is not None:
-        return cached
-    key = root
-    field = system.field
-    letters = []
-    cur = root
-    while True:
-        support = [i for i, x in enumerate(cur) if any(x)]
-        if len(support) == 1:
-            simple = support[0]
-            if cur[simple] != field.one:
-                raise InvariantViolation("single-support root is not simple")
-            break
-        for s in range(system.n):
-            if field.raw_sign(system.bform_dot(s, cur)) > 0:
-                break
-        else:
-            raise InvariantViolation("positive root with no descent direction")
-        letters.append(s)
-        # sigma_s changes only coordinate s of the vector
-        new_s = field.raw_neg(cur[s])
-        for t, c in system._nbrs[s]:
-            if any(cur[t]):
-                new_s = field.raw_add(new_s, field.raw_mul(c, cur[t]))
-        cur = tuple(new_s if i == s else cur[i] for i in range(system.n))
-    result = (tuple(letters), simple)
-    system._root_descent_cache[key] = result
-    return result
-
-
-def adjacent_chamber(wall: Wall) -> Element:
-    """A canonical chamber incident to the wall.
-
-    If root = h(alpha_u) with h from the greedy descent, the edge
-    (h, h·u) is dual to the wall; h is returned.
-    """
-    return wall.system.element(_descend_root(wall.system, wall.root)[0])
+    field = a.system.field
+    if field.raw_sign(field.raw_sub(a.system.bilinear(a.root, b.root),
+                                    field.two)) < 0:
+        return None
+    diff = tuple(field.raw_sub(x, y) for x, y in zip(b.root, a.root))
+    return b if a.system.root_sign(diff) > 0 else a
 
 
 def separates_vertex_from_wall(a: Wall, g: Element, b: Wall) -> bool:
     """Whether wall a lies strictly between chamber g and wall b.
 
-    Sound because all chambers touching b are on one side of a whenever a
-    and b do not cross, so one incident chamber stands in for the wall.
+    Pulled back by g^-1, this asks whether a separates the identity from b.
     """
     if a == b:
         raise PreconditionError("need two distinct walls")
-    if walls_cross(a, b):
-        return False
-    return side(a, g) != side(a, adjacent_chamber(b))
+    ginv = g.inverse()
+    b = conjugate_wall(ginv, b)
+    return _farther(conjugate_wall(ginv, a), b) == b
 
 
 def wall_set(g: Element) -> frozenset[Wall]:
@@ -172,19 +151,21 @@ def wall_set(g: Element) -> frozenset[Wall]:
 
     Candidate separators can be restricted to inversion walls of g: a wall
     separating g from an inversion wall of g lies on a geodesic's path and
-    so separates g from the identity itself.
+    so separates g from the identity itself.  Pulled back by g^-1, these
+    are the inversion walls of g^-1 nearest the identity.
     """
     if g._wall_set is None:
-        g._wall_set = _nearest_walls(inversion_walls(g), g)
+        pulled = _nearest_walls(inversion_walls(g.inverse()))
+        g._wall_set = frozenset(conjugate_wall(g, w) for w in pulled)
     return g._wall_set
 
 
-def _nearest_walls(walls, x: Element) -> frozenset[Wall]:
-    """The walls b among `walls` with no other a of them between x and b."""
-    return frozenset(
-        b for b in walls
-        if not any(a != b and separates_vertex_from_wall(a, x, b)
-                   for a in walls))
+def _nearest_walls(walls) -> frozenset[Wall]:
+    """The walls with no other of them between the identity and them."""
+    walls = list(set(walls))
+    farther = {_farther(a, b) for i, a in enumerate(walls)
+               for b in walls[i + 1:]}
+    return frozenset(walls).difference(farther)
 
 
 def residue_walls(system: CoxeterSystem, g: Element, T) -> frozenset[Wall]:

@@ -99,6 +99,26 @@ def sign_pattern_cross(a, b, chambers):
     return len(crossing_patterns(a, b, chambers)) == 4
 
 
+def chamber_next_to(wall):
+    """A chamber incident to the wall: the prefix of the reflection's
+    normal form before the letter whose wall it is."""
+    r = wall.reflection
+    for i, w in enumerate(wl.inversion_walls(r)):
+        if w == wall:
+            return r.system.element(r.nf[:i])
+    raise AssertionError("a wall is not an inversion wall of its reflection")
+
+
+def chamber_separates(a, g, b):
+    """Whether wall a lies between chamber g and wall b, by chamber sides.
+
+    When a and b do not cross, every chamber touching b lies on one side
+    of a, so one chamber next to b stands in for the wall.
+    """
+    return (not wl.walls_cross(a, b)
+            and wl.side(a, g) != wl.side(a, chamber_next_to(b)))
+
+
 def q_factorial(n, deg):
     """Coefficients of [n]_q! truncated at degree deg."""
     out = [1]

@@ -151,6 +151,19 @@ def test_scan_ball_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", FIG1, "--radius", "0"),
+    ("prop", FIG1, "--radius", "0"),
+    ("divergence", FIG1, "--radii", "0"),
+])
+def test_ball_cap_counts_the_identity(capsys, argv):
+    # the ball of radius 0 already holds one element, over a cap of 0
+    code, out, err = run(capsys, *argv, "--max-ball", "0")
+    assert code == 3 and out == ""
+    assert "cap 0" in err
+    assert run(capsys, *argv, "--max-ball", "1")[0] == 0
+
+
 def test_field_degree_cap(capsys, tmp_path):
     # Orders 11, 13 and 17 need Q(2cos(pi/2431)), of degree 960; the cap
     # refuses it before any field arithmetic.
@@ -183,6 +196,20 @@ def test_free_product_of_30_generators(capsys, tmp_path):
     code, out, _ = run(capsys, "automaton", str(group))
     assert code == 0 and out.startswith("states: ")
     assert time.perf_counter() - start < 5
+
+
+def test_info_on_a12_path(capsys, tmp_path):
+    """K needs w0 only on the maximal spherical subsets: here the whole
+    set, against 4,095 spherical subsets."""
+    names = [f"g{i}" for i in range(12)]
+    group = tmp_path / "a12.cox"
+    group.write_text("generators " + " ".join(names) + "\n" + "".join(
+        f"m {a} {b} {3 if j == i + 1 else 2}\n"
+        for i, a in enumerate(names) for j, b in enumerate(names) if i < j))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "info", str(group))
+    assert code == 0 and "2-dimensional: no; K = 78" in out
+    assert time.perf_counter() - start < 2.5
 
 
 def test_scan_all_words(capsys):

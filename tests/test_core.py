@@ -184,6 +184,17 @@ def test_ball_cap(fig1):
         fig1.ball(6, max_elements=10)
 
 
+def test_ball_cap_counts_the_identity(fig1):
+    with pytest.raises(ResourceLimitError):
+        fig1.ball(0, max_elements=0)
+    with pytest.raises(ResourceLimitError):
+        fig1.parabolic_elements({0}, max_elements=0)
+    assert len(fig1.ball(0, max_elements=1)) == 1
+    assert len(fig1.ball(1, max_elements=4)) == 4
+    with pytest.raises(ResourceLimitError):
+        fig1.ball(1, max_elements=3)
+
+
 def test_ball_against_braid_rewriting_oracle(fig1, ball):
     oracle = TitsBall(fig1, 3)
     # same number of elements per level and identical shortlex words

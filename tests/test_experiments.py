@@ -1,9 +1,13 @@
 """Fellow-traveller scans, divergence tables, residue witness scans."""
 
+import itertools
+
 import pytest
 
-from coxlang import (PreconditionError, ResourceLimitError, divergence_scan,
-                     ft_pair_divergence, ft_scan, k_constant, prop_main_scan)
+from coxlang import (CoxeterSystem, PreconditionError, ResourceLimitError,
+                     divergence_scan, ft_pair_divergence, ft_scan, k_constant,
+                     parse_system, prop_main_scan)
+from conftest import GROUPS
 from coxlang.experiments import (_pair_value, divergence_tsv, ft_text, ft_tsv,
                                  prop_text, prop_tsv)
 from coxlang.language import canonical_word
@@ -15,6 +19,25 @@ def test_k_constants(fig1, a3tilde, triangle, dinf, single):
     assert k_constant(fig1) == 4
     assert k_constant(triangle) == 3
     assert k_constant(a3tilde) == 6
+
+
+def _a5():
+    names = tuple("abcde")
+    return CoxeterSystem.from_pairs(
+        names, {(x, y): 3 if j == i + 1 else 2
+                for (i, x), (j, y) in itertools.combinations(enumerate(names), 2)})
+
+
+@pytest.mark.parametrize("fname", sorted(
+    path.name for path in GROUPS.glob("*.cox")) + ["A5"])
+def test_k_constant_is_the_max_over_all_spherical_subsets(fname):
+    system = (_a5() if fname == "A5"
+              else parse_system((GROUPS / fname).read_text()))
+    everything = max(system.longest_element(T).length
+                     for T in system.spherical_subsets())
+    assert k_constant(system) == everything
+    if fname == "A5":
+        assert everything == 15
 
 
 def test_pair_divergence_identity_examples(fig1):

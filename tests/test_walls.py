@@ -7,13 +7,17 @@ radius 10 suffices for the inversion walls of radius-6 elements here).
 """
 
 import itertools
+import time
 
 import pytest
 
-from coxlang import PreconditionError
+from coxlang import PreconditionError, parse_system
 from coxlang import walls as wl
 from coxlang.walls import FAR, NEAR
-from oracles import sign_pattern_cross
+from conftest import GROUPS
+from oracles import chamber_next_to, chamber_separates, sign_pattern_cross
+
+SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
 
 def test_generator_walls(fig1):
@@ -66,17 +70,32 @@ def test_reflection_length_is_odd_and_palindromic_in_value(fig1, ball):
     for w in seen:
         r = w.reflection
         assert (r * r).is_identity()
-        c = wl.adjacent_chamber(w)
+        c = chamber_next_to(w)
         assert r.length == 2 * c.length + 1
 
 
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_reflection_fixes_its_wall(fname):
+    system = parse_system((GROUPS / fname).read_text())
+    walls = set()
+    for g in system.ball(4):
+        walls.update(wl.inversion_walls(g))
+    for w in walls:
+        r = w.reflection
+        assert (r * r).is_identity()
+        assert r.inverse() == r
+        assert system.apply(r.mat, w.root) == tuple(
+            system.field.raw_neg(x) for x in w.root)
+
+
 def test_adjacent_chamber_straddles(fig1, a3tilde, ball):
+    # the oracle's chamber next to a wall is incident to it
     for system, radius in ((fig1, 7), (a3tilde, 5)):
         walls = set()
         for g in ball(system, radius):
             walls.update(wl.inversion_walls(g))
         for w in walls:
-            c = wl.adjacent_chamber(w)
+            c = chamber_next_to(w)
             u = (c.inverse() * w.reflection * c)
             assert u.length == 1
             s = u.nf[0]
@@ -144,6 +163,43 @@ def test_near_wall_set_minimality_over_larger_universe(fig1, ball):
         for w in inv - set(kept):
             assert any(wl.separates_vertex_from_wall(u, g, w)
                        for u in inv if u != w)
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_separation_matches_chamber_sides(fname):
+    """The root predicate against the chamber-side oracle, over the walls
+    of a ball and the chambers of a smaller one."""
+    start = time.perf_counter()
+    system = parse_system((GROUPS / fname).read_text())
+    walls = set()
+    for g in system.ball(4):
+        walls.update(wl.inversion_walls(g))
+    chambers = system.ball(2)
+    seen = set()
+    for a, b in itertools.permutations(walls, 2):
+        for x in chambers:
+            verdict = wl.separates_vertex_from_wall(a, x, b)
+            assert verdict == chamber_separates(a, x, b), (a, x, b)
+            seen.add(verdict)
+    if len(walls) > 1:
+        assert seen == {True, False}
+    assert time.perf_counter() - start < 5
+
+
+def test_separation_examples(dinf):
+    # In the infinite dihedral group the walls are parallel: the wall of b
+    # lies between the identity and the wall of bab, while the walls of a
+    # and bab lie on opposite sides of the identity (2B = -2).
+    wa = wl.wall_of_generator(dinf, 0)
+    wb = wl.wall_of_generator(dinf, 1)
+    bab = wl.conjugate_wall(dinf.generator(1), wa)
+    e = dinf.identity
+    assert wl.separates_vertex_from_wall(wb, e, bab)
+    assert not wl.separates_vertex_from_wall(bab, e, wb)
+    assert not wl.separates_vertex_from_wall(wa, e, bab)
+    assert not wl.separates_vertex_from_wall(bab, e, wa)
+    # from the chamber ab the wall of a lies between it and the wall of b
+    assert wl.separates_vertex_from_wall(wa, dinf.element("ab"), wb)
 
 
 def test_separation_requires_distinct_walls(fig1):
