@@ -10,8 +10,10 @@ matrix equality over the exact field.  Normal forms are ShortLex: the
 first letter of nf(g) is the least left descent of g, and stripping it
 recurses.
 
-An element carries both its matrix and the matrix of its inverse, which
-keeps left- and right-descent reads cheap and avoids matrix inversion.
+An element carries its matrix.  The matrix of its inverse, which left
+descents read, is formed on first use by replaying the generator steps
+that made the element with the opposite-side kernel, so no matrix is ever
+inverted, and an element whose inverse is never read costs one step.
 Generator matrices differ from the identity only in one row, so one-sided
 multiplication by a generator costs O(n^2) instead of O(n^3).  Every
 product the library forms is such a generator step: g·u is `mul_word(g,
@@ -21,9 +23,9 @@ g⁻¹·x.  The dense `_mat_mul` is their test oracle.
 Elements are interned: a system hands out one Element per group element,
 keyed by its matrix.  So what an element memoises serves every caller:
 normal form, descent sets (shared per system), wall set, descent data
-(T, w, Pi), and generator steps.  `mul_gen(g, s)` stores g·s on g and g
-on g·s, and `gen_mul` likewise on the left, so a repeated step is a
-lookup.  Equality and hashing read the matrix.
+(T, w, Pi), canonical word, and generator steps.  `mul_gen(g, s)` stores
+g·s on g and g on g·s, and `gen_mul` likewise on the left, so a repeated
+step is a lookup.  Equality and hashing read the matrix.
 """
 
 from __future__ import annotations
@@ -163,6 +165,7 @@ class CoxeterSystem:
         self._finite_cache: dict[frozenset, bool] = {}
         self._closure_cache: dict[Word, tuple[Word, ...]] = {}
         self._residue_walls_cache: dict[frozenset, frozenset] = {}
+        self._farther_cache: dict[tuple, object] = {}
         self._spherical: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
@@ -314,11 +317,16 @@ class CoxeterSystem:
             word = self.parse_word(word)
         return self.mul_word(self._identity, word)
 
-    def _element(self, mat, inv) -> "Element":
-        """The one Element with this matrix, made on first sight."""
+    def _element(self, mat, inv=None, slot=None) -> "Element":
+        """The one Element with this matrix, made on first sight.
+
+        A new element is given either its inverse matrix or `slot`, the
+        step slot that holds the element it was stepped from (see
+        `Element.inv`).
+        """
         el = self._elements.get(mat)
         if el is None:
-            el = self._elements[mat] = Element(self, mat, inv)
+            el = self._elements[mat] = Element(self, mat, inv, slot)
         return el
 
     def mul_word(self, g: "Element", word) -> "Element":
@@ -333,8 +341,7 @@ class CoxeterSystem:
             raise PreconditionError(f"letter {s} out of range")
         h = g._steps[s]
         if h is None:
-            h = g._steps[s] = self._element(self._gen_rmul(g.mat, s),
-                                            self._gen_lmul(s, g.inv))
+            h = g._steps[s] = self._element(self._gen_rmul(g.mat, s), slot=s)
             h._steps[s] = g
         return h
 
@@ -345,8 +352,7 @@ class CoxeterSystem:
         k = self.n + s
         h = g._steps[k]
         if h is None:
-            h = g._steps[k] = self._element(self._gen_lmul(s, g.mat),
-                                            self._gen_rmul(g.inv, s))
+            h = g._steps[k] = self._element(self._gen_lmul(s, g.mat), slot=k)
             h._steps[k] = g
         return h
 
@@ -570,25 +576,51 @@ def _first_repeat(w: Word):
 
 
 class Element:
-    """A group element: exact matrix pair (g, g^-1) plus memoised data.
+    """A group element: its exact matrix plus memoised data.
 
     Made only by `CoxeterSystem._element`.  `_steps[s]` is g·s and
-    `_steps[n + s]` is s·g, once taken; `_descent` is (T, w, Pi).
+    `_steps[n + s]` is s·g, once taken; `_descent` is (T, w, Pi) and
+    `_canonical` the canonical word (see `language`).  `_inv` is the
+    inverse matrix once formed; until then `_slot` names the step slot
+    holding the element this one was stepped from.
     """
 
-    __slots__ = ("system", "mat", "inv", "_nf", "_rdesc", "_ldesc",
-                 "_wall_set", "_steps", "_descent")
+    __slots__ = ("system", "mat", "_inv", "_slot", "_nf", "_rdesc", "_ldesc",
+                 "_wall_set", "_steps", "_descent", "_canonical")
 
-    def __init__(self, system: CoxeterSystem, mat, inv):
+    def __init__(self, system: CoxeterSystem, mat, inv, slot):
         self.system = system
         self.mat = mat
-        self.inv = inv
+        self._inv = inv
+        self._slot = slot
         self._nf = None
         self._rdesc = None
         self._ldesc = None
         self._wall_set = None
         self._steps = [None] * (2 * system.n)
         self._descent = None
+        self._canonical = None
+
+    @property
+    def inv(self):
+        """The matrix of g⁻¹, formed on first read.
+
+        If g = h·s then g⁻¹ = s·h⁻¹, and if g = s·h then g⁻¹ = h⁻¹·s: one
+        opposite-side step from the inverse of the element g was stepped
+        from.  The chain of such elements is walked back to one whose
+        inverse is known (the identity, at worst), then replayed forward.
+        """
+        if self._inv is None:
+            system, chain, cur = self.system, [], self
+            while cur._inv is None:
+                chain.append(cur)
+                cur = cur._steps[cur._slot]
+            inv, n = cur._inv, system.n
+            for el in reversed(chain):
+                k = el._slot
+                inv = el._inv = (system._gen_lmul(k, inv) if k < n
+                                 else system._gen_rmul(inv, k - n))
+        return self._inv
 
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):

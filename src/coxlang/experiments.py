@@ -76,11 +76,18 @@ def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
     The difference element is updated by one generator step on each side
     per i.  Elements are interned, and each keeps its steps and normal
     form, so a difference element met before costs two lookups per i.  On
-    A~3 it takes only a few hundred values over a whole scan.
+    A~3 it takes only a few hundred values over a whole scan.  With no s,
+    the difference is the identity along the common prefix of v and vp,
+    so the steps start where they first differ.
     """
-    d = system.identity if s is None else system.generator(s)
+    start, d = 0, system.identity if s is None else system.generator(s)
+    if s is None:
+        for a, b in zip(v, vp):
+            if a != b:
+                break
+            start += 1
     best = 0
-    for i in range(max(len(v), len(vp))):
+    for i in range(start, max(len(v), len(vp))):
         if i < len(v):
             d = system.gen_mul(v[i], d)
         if i < len(vp):

@@ -85,12 +85,20 @@ def is_in_standard_language(system: CoxeterSystem, word) -> bool:
 
 def canonical_word(g: Element) -> Word:
     """The representative spelling each chunk by its ShortLex reduced
-    word; the chunks are read off the Pi chain of g."""
-    parts, identity = [], g.system.identity
-    while g is not identity:
-        _, w, g = descent_data(g)
-        parts.append(w.nf)
-    return tuple(itertools.chain.from_iterable(reversed(parts)))
+    word: canonical(g) = canonical(Pi(g)) + nf(w(g)).
+
+    Kept on the element.  The Pi chain is walked down to the identity or
+    to an element whose word is known, and the words are filled in on
+    the way back up.
+    """
+    chain, cur, identity = [], g, g.system.identity
+    while cur._canonical is None and cur is not identity:
+        chain.append(cur)
+        cur = descent_data(cur)[2]
+    word = cur._canonical or ()
+    for el in reversed(chain):
+        word = el._canonical = word + el._descent[1].nf
+    return word
 
 
 def language_words(g: Element, max_words: int = DEFAULT_WORD_CAP) -> tuple[Word, ...]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .errors import FieldMismatchError, InvariantViolation, ResourceLimitError
 
@@ -209,13 +209,13 @@ class CycloField:
         return (q,) + (0,) * (self.degree - 1)
 
     def raw_add(self, a: Raw, b: Raw) -> Raw:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def raw_sub(self, a: Raw, b: Raw) -> Raw:
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def raw_neg(self, a: Raw) -> Raw:
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def raw_mul(self, a: Raw, b: Raw) -> Raw:
         d = self.degree

@@ -125,13 +125,21 @@ def _farther(a: Wall, b: Wall) -> Wall | None:
     infinite dihedral group and a, b lie on one chain of its positive
     roots, whose coefficients grow away from the identity; so the farther
     root minus the nearer is nonnegative.  root_sign raises on mixed signs.
+    The answer does not depend on the order of a and b, and is kept on the
+    system per unordered pair of roots.
     """
-    field = a.system.field
-    if field.raw_sign(field.raw_sub(a.system.bilinear(a.root, b.root),
+    sysm, field = a.system, a.system.field
+    key = (a.root, b.root) if a.root < b.root else (b.root, a.root)
+    if key in sysm._farther_cache:
+        return sysm._farther_cache[key]
+    if field.raw_sign(field.raw_sub(sysm.bilinear(a.root, b.root),
                                     field.two)) < 0:
-        return None
-    diff = tuple(field.raw_sub(x, y) for x, y in zip(b.root, a.root))
-    return b if a.system.root_sign(diff) > 0 else a
+        far = None
+    else:
+        diff = tuple(field.raw_sub(x, y) for x, y in zip(b.root, a.root))
+        far = b if sysm.root_sign(diff) > 0 else a
+    sysm._farther_cache[key] = far
+    return far
 
 
 def separates_vertex_from_wall(a: Wall, g: Element, b: Wall) -> bool:

@@ -3,10 +3,14 @@
 Everything here is deliberately built from different principles than the
 library internals: word rewriting instead of the linear representation,
 sign sampling instead of bilinear-form tests, generating-function counts
-instead of graph search.
+instead of graph search, and the plain loops that a library shortcut
+replaced.
 """
 
+import itertools
+
 from coxlang import walls as wl
+from coxlang.language import descent_data
 
 
 class TitsBall:
@@ -86,6 +90,30 @@ def rewriting_pair_value(system, v, vp, s, *, max_letters):
         if i < len(vp):
             d = system.tits_reduce(d + (vp[i],), max_letters)
         best = max(best, len(d))
+    return best
+
+
+def canonical_word(g):
+    """The canonical word walked afresh down the Pi chain, one chunk's
+    ShortLex word per step, with nothing kept between calls."""
+    parts, identity = [], g.system.identity
+    while g is not identity:
+        _, w, g = descent_data(g)
+        parts.append(w.nf)
+    return tuple(itertools.chain.from_iterable(reversed(parts)))
+
+
+def pair_value(system, v, vp, s):
+    """max over i >= 1 of l(v(i)^-1 [s] vp(i)), stepping the difference
+    element through every i, the common prefix of v and vp included."""
+    d = system.identity if s is None else system.generator(s)
+    best = 0
+    for i in range(max(len(v), len(vp))):
+        if i < len(v):
+            d = system.gen_mul(v[i], d)
+        if i < len(vp):
+            d = system.mul_gen(d, vp[i])
+        best = max(best, d.length)
     return best
 
 

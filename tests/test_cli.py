@@ -303,3 +303,24 @@ def test_no_dense_product_on_cli_paths(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 0
+
+
+def test_ball_forms_no_inverse_and_one_step_per_candidate(monkeypatch):
+    """A ball forms each candidate's matrix once and no inverse matrix:
+    inverses wait for their first read."""
+    from coxlang import parse_system
+    from coxlang.core import CoxeterSystem
+    system = parse_system((GROUPS / "a3tilde.cox").read_text())
+    calls = {"_gen_rmul": 0, "_gen_lmul": 0}
+    for name in calls:
+        kernel = getattr(CoxeterSystem, name)
+
+        def counted(self, *args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(self, *args)
+        monkeypatch.setattr(CoxeterSystem, name, counted)
+    ball = system.ball(10)
+    candidates = sum(system.n - len(g.right_descents())
+                     for g in ball if g.length < 10)
+    assert calls["_gen_lmul"] == 0
+    assert 0 < calls["_gen_rmul"] <= candidates

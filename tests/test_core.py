@@ -13,6 +13,7 @@ from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      ResourceLimitError, parse_system)
 from coxlang.core import parse_word
 from coxlang.language import canonical_word, language_words
+from coxlang.walls import Wall, inversion_walls
 from conftest import GROUPS
 from oracles import TitsBall, affine_a_ball_sizes
 
@@ -247,6 +248,82 @@ def test_interned_elements_match_matrices_and_rewriting(fig1, a3tilde, h237,
             assert g.nf == min(closure) == system.tits_reduce(g.nf)
             assert g.right_descents() == {u[-1] for u in closure if u}
             assert canonical_word(g) in language_words(g)
+
+
+def _assert_inverse(system, g, word):
+    """g's lazily formed inverse against the dense product and against
+    word rewriting; `word` is any word for g."""
+    assert system._mat_mul(g.mat, g.inv) == system._id_mat
+    assert g.inverse().mat == g.inv
+    assert g.inverse().inverse() is g
+    back = tuple(reversed(system.tits_reduce(word, max_letters=12)))
+    assert g.left_descents() == {
+        s for s in range(system.n)
+        if len(system.tits_reduce(back + (s,), max_letters=12)) < len(back)}
+
+
+def _creator_slots(g):
+    """The step slots of g's creator chain, up to a known inverse."""
+    slots = []
+    while g._inv is None:
+        slots.append(g._slot)
+        g = g._steps[g._slot]
+    return slots
+
+
+@pytest.mark.parametrize("fname,radius", [
+    ("fig1.cox", 6), ("a3tilde.cox", 5), ("triangle_237.cox", 5)])
+def test_lazy_inverse_against_dense_product_and_rewriting(fname, radius):
+    """Each inverse is formed on first read from the creator chain, in a
+    fresh system each time: over a ball and its neighbours on both sides,
+    over elements made by left steps and then right steps, and around
+    reflections made from their roots."""
+    text = (GROUPS / fname).read_text()
+    system = parse_system(text)
+    ball = system.ball(radius)
+    words = {}
+    for g in ball:
+        words[g] = g.nf
+        for s in range(system.n):
+            words.setdefault(system.mul_gen(g, s), g.nf + (s,))
+            words.setdefault(system.gen_mul(s, g), (s,) + g.nf)
+    for g, word in words.items():
+        _assert_inverse(system, g, word)
+
+    system = parse_system(text)
+    lefts = {}
+    for g in ball:
+        if g.length > 4:
+            break
+        x = system.identity
+        for s in reversed(g.nf):
+            x = system.gen_mul(s, x)
+        lefts[x] = g.nf
+    tail = tuple(range(system.n))
+    mixed = {system.mul_word(x, tail): word + tail
+             for x, word in lefts.items()}
+    assert any(slots and min(slots) < system.n <= max(slots)
+               for slots in map(_creator_slots, mixed))
+    for g, word in mixed.items():
+        _assert_inverse(system, g, word)
+
+    # Roots are raw vectors over the same field, so they carry over to a
+    # fresh system, where each reflection is made with its inverse.
+    system = parse_system(text)
+    reflections = {}
+    for g in ball:
+        if g.length > 4:
+            break
+        for i, wall in enumerate(inversion_walls(g)):
+            prefix = g.nf[:i]
+            reflections[wall.root] = prefix + (g.nf[i],) + prefix[::-1]
+    for root, word in reflections.items():
+        r = Wall(system, root).reflection
+        assert r.inv == r.mat and r.inverse() is r
+        _assert_inverse(system, r, word)
+        for s in range(system.n):
+            _assert_inverse(system, system.mul_gen(r, s), word + (s,))
+            _assert_inverse(system, system.gen_mul(s, r), (s,) + word)
 
 
 def test_degree_144_field_against_rewriting_oracle():

@@ -11,6 +11,7 @@ from conftest import GROUPS
 from coxlang.experiments import (_pair_value, divergence_tsv, ft_text, ft_tsv,
                                  prop_text, prop_tsv)
 from coxlang.language import canonical_word
+import oracles
 
 
 def test_k_constants(fig1, a3tilde, triangle, dinf, single):
@@ -78,6 +79,28 @@ def test_pair_value_swap_shifts_by_at_most_one(fig1, ball):
             fwd = _pair_value(fig1, v, vp, None)
             rev = _pair_value(fig1, vp, v, None)
             assert abs(fwd - rev) <= 1
+
+
+def test_canonical_words_and_pair_values_match_oracles(fig1, a3tilde, h237,
+                                                       ball):
+    """The kept canonical word against the Pi chain walked afresh, and the
+    pair value started at the first differing letter against the full
+    loop, for every ascent on either side."""
+    identity = fig1.identity
+    assert canonical_word(identity) == oracles.canonical_word(identity) == ()
+    for system, radius in ((fig1, 7), (a3tilde, 6), (h237, 5)):
+        for g in ball(system, radius):
+            v = canonical_word(g)
+            assert v == oracles.canonical_word(g)
+            for s in range(system.n):
+                for gp, shift in ((system.mul_gen(g, s), None),
+                                  (system.gen_mul(s, g), s)):
+                    if gp.length < g.length:
+                        continue
+                    vp = canonical_word(gp)
+                    assert vp == oracles.canonical_word(gp)
+                    assert (_pair_value(system, v, vp, shift)
+                            == oracles.pair_value(system, v, vp, shift))
 
 
 def test_ft_scan_fig1_frozen(fig1):

@@ -186,6 +186,24 @@ def test_separation_matches_chamber_sides(fname):
     assert time.perf_counter() - start < 5
 
 
+def test_farther_is_kept_per_unordered_pair():
+    """Either order of a pair gives the same wall, and each unordered pair
+    is evaluated once per system."""
+    text = (GROUPS / "triangle_237.cox").read_text()
+    one, two = parse_system(text), parse_system(text)
+    roots = sorted({w.root for g in one.ball(4) for w in wl.inversion_walls(g)})
+    pairs = list(itertools.combinations(roots, 2))
+    verdicts = set()
+    for a, b in pairs:
+        far = wl._farther(wl.Wall(one, a), wl.Wall(one, b))
+        back = wl._farther(wl.Wall(two, b), wl.Wall(two, a))
+        assert wl._farther(wl.Wall(one, b), wl.Wall(one, a)) is far
+        assert (far and far.root) == (back and back.root)
+        verdicts.add(far is None)
+    assert verdicts == {True, False}
+    assert len(one._farther_cache) == len(pairs)
+
+
 def test_separation_examples(dinf):
     # In the infinite dihedral group the walls are parallel: the wall of b
     # lies between the identity and the wall of bab, while the walls of a
