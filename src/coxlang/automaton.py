@@ -16,8 +16,7 @@ membership predicate certifies the result at word-length scale.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
@@ -28,8 +27,7 @@ from .walls import (Wall, _nearest_walls, conjugate_wall, inversion_walls,
 MAX_SCAN_WORDS = 10**6
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     parabolic: tuple[int, ...]
     w0_word: Word
@@ -37,24 +35,21 @@ class Transition:
     target: int
 
 
-@dataclass(frozen=True)
-class ResidueFsa:
+class ResidueFsa(NamedTuple):
     generators: tuple[str, ...]
     states: tuple[tuple[str, ...], ...]
     transitions: tuple[Transition, ...]
     start: int
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(NamedTuple):
     state_count: int
     transition_count: int
     max_wall_depth: int
     truncated: bool
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     max_len: int
     words_checked: int
     first_mismatch: Word | None
@@ -90,11 +85,16 @@ def build(system: CoxeterSystem,
     for T in subsets:
         w0 = system.longest_element(T)
         # w0 permutes the generator walls of T, and takes each outside
-        # generator wall to its far-side image
-        blocked = {conjugate_wall(w0, wall_of_generator(system, t))
-                   for t in range(system.n)}
+        # generator wall to its far-side image.  The images of walls under
+        # w0 are kept: the states share a few walls.
+        images = {}
+        for t in range(system.n):
+            a = wall_of_generator(system, t)
+            images[a] = conjugate_wall(w0, a)
+        blocked = set(images.values())
         labels = tuple(sorted(system.braid_closure(w0.nf)))
-        chunk[T] = (w0, blocked, labels, residue_walls(system, system.identity, T))
+        chunk[T] = (w0, blocked, labels,
+                    residue_walls(system, system.identity, T), images)
 
     start: frozenset[Wall] = frozenset()
     states = [start]
@@ -104,11 +104,13 @@ def build(system: CoxeterSystem,
     while pos < len(states):
         walls = states[pos]
         for T in subsets:
-            w0, blocked, labels, rwalls = chunk[T]
+            w0, blocked, labels, rwalls, images = chunk[T]
             if not walls.isdisjoint(blocked):
                 continue
+            for a in walls.difference(images):
+                images[a] = conjugate_wall(w0, a)
             target_walls = _nearest_walls(
-                rwalls.union(conjugate_wall(w0, a) for a in walls))
+                rwalls.union(images[a] for a in walls))
             target = index.get(target_walls)
             if target is None:
                 target = len(states)
@@ -196,6 +198,8 @@ def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
 
 
 def to_json(fsa: ResidueFsa) -> str:
+    import json
+
     names = fsa.generators
     doc = {
         "generators": list(names),
@@ -216,6 +220,8 @@ def to_json(fsa: ResidueFsa) -> str:
 
 
 def from_json(text: str) -> ResidueFsa:
+    import json
+
     doc = json.loads(text)
     names = tuple(doc["generators"])
     transitions = tuple(

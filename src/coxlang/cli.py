@@ -1,25 +1,23 @@
 """Command-line surface. All runs are deterministic given file and flags.
 
 Exit codes: 0 clean, 1 an asserted invariant failed (equivalence mismatch,
-5K bound violation, missing residue witness), 2 usage or parse problems,
-3 a resource cap was hit.
+5K bound violation, missing residue witness), 2 usage or parse problems
+(an unreadable group file or an unwritable output file included), 3 a
+resource cap was hit.
+
+Each command imports the modules it runs inside its handler, so a process
+compiles and loads only those: `info` needs no more than `core`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from . import automaton as fsa
-from .core import (DEFAULT_BALL_CAP, CoxeterSystem, INF, parse_system)
+from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, INF, CoxeterSystem,
+                   k_constant, parse_system)
 from .errors import (CoxeterError, InfiniteParabolicError, InvariantViolation,
                      ParseError, PreconditionError, ResourceLimitError)
-from .experiments import (divergence_scan, divergence_text, divergence_tsv,
-                          ft_scan, ft_text, ft_tsv, k_constant,
-                          prop_main_scan, prop_text, prop_tsv)
-from .language import (DEFAULT_WORD_CAP, canonical_word, chunk_decomposition,
-                       is_in_standard_language)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -29,17 +27,22 @@ EXIT_RESOURCE = 3
 
 def _load(path: str) -> CoxeterSystem:
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read group file: {exc}")
     return parse_system(text)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write output file: {exc}")
 
 
 def _subset_str(system: CoxeterSystem, T) -> str:
@@ -65,6 +68,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_lang(args: argparse.Namespace) -> int:
+    from .language import (canonical_word, chunk_decomposition,
+                           is_in_standard_language)
+
     system = _load(args.group)
     word = system.parse_word(args.word)
     if args.sub == "check":
@@ -83,6 +89,8 @@ def cmd_lang(args: argparse.Namespace) -> int:
 
 
 def cmd_automaton(args: argparse.Namespace) -> int:
+    from . import automaton as fsa
+
     system = _load(args.group)
     machine, report = fsa.build(system, max_states=args.max_states)
     mismatch = None
@@ -109,6 +117,8 @@ def cmd_automaton(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .experiments import ft_scan, ft_text, ft_tsv
+
     system = _load(args.group)
     report = ft_scan(system, args.radius,
                      words="all" if args.all_words else "canonical",
@@ -121,6 +131,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_prop(args: argparse.Namespace) -> int:
+    from .experiments import prop_main_scan, prop_text, prop_tsv
+
     system = _load(args.group)
     report = prop_main_scan(system, args.radius, max_ball=args.max_ball)
     render = prop_text if args.fmt == "text" else prop_tsv
@@ -129,6 +141,8 @@ def cmd_prop(args: argparse.Namespace) -> int:
 
 
 def cmd_divergence(args: argparse.Namespace) -> int:
+    from .experiments import divergence_scan, divergence_text, divergence_tsv
+
     radii = _parse_radii(args.radii)
     system = _load(args.group)
     table = divergence_scan(system, radii, max_ball=args.max_ball)

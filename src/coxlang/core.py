@@ -31,7 +31,6 @@ step is a lookup.  Equality and hashing read the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (InfiniteParabolicError, InvariantViolation, ParseError,
                      PreconditionError, ResourceLimitError,
@@ -41,32 +40,44 @@ from .scalar import INF, field_for
 Word = tuple[int, ...]
 
 DEFAULT_BALL_CAP = 10**6
-DEFAULT_ORACLE_LETTERS = 10
+DEFAULT_WORD_CAP = 100_000
 DEFAULT_CLOSURE_CAP = 200_000
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric order table: 1 on the diagonal, ints >= 2 or INF off it."""
 
-    names: tuple[str, ...]
-    orders: tuple[tuple[object, ...], ...]
+    __slots__ = ("names", "orders")
 
-    def __post_init__(self):
-        n = len(self.names)
-        if len(set(self.names)) != n:
+    def __init__(self, names: tuple[str, ...],
+                 orders: tuple[tuple[object, ...], ...]):
+        self.names = names
+        self.orders = orders
+        n = len(names)
+        if len(set(names)) != n:
             raise InvariantViolation("generator names must be distinct")
-        if len(self.orders) != n or any(len(row) != n for row in self.orders):
+        if len(orders) != n or any(len(row) != n for row in orders):
             raise InvariantViolation("order table has the wrong shape")
         for i in range(n):
-            if self.orders[i][i] != 1:
+            if orders[i][i] != 1:
                 raise InvariantViolation("diagonal orders must equal 1")
             for j in range(i + 1, n):
-                m = self.orders[i][j]
-                if m != self.orders[j][i]:
+                m = orders[i][j]
+                if m != orders[j][i]:
                     raise InvariantViolation("order table must be symmetric")
                 if m != INF and (not isinstance(m, int) or m < 2):
                     raise InvariantViolation("off-diagonal orders must be >= 2 or INF")
+
+    def __eq__(self, other):
+        if not isinstance(other, CoxeterMatrix):
+            return NotImplemented
+        return self.names == other.names and self.orders == other.orders
+
+    def __hash__(self):
+        return hash((self.names, self.orders))
+
+    def __repr__(self) -> str:
+        return f"CoxeterMatrix(names={self.names!r}, orders={self.orders!r})"
 
     @property
     def n(self) -> int:
@@ -501,7 +512,7 @@ class CoxeterSystem:
             current = nxt
         return out
 
-    # ----- rewriting oracle -------------------------------------------------
+    # ----- braid moves -----------------------------------------------------
 
     def braid_closure(self, word, max_words: int = DEFAULT_CLOSURE_CAP) -> frozenset:
         """All words reachable from `word` by braid moves alone."""
@@ -533,46 +544,18 @@ class CoxeterSystem:
             self._closure_cache[w0] = tuple(seen)
         return frozenset(seen)
 
-    def tits_reduce(self, word, max_letters: int = DEFAULT_ORACLE_LETTERS) -> Word:
-        """A geodesic word for the element of `word`, by exhaustive rewriting.
-
-        Alternates braid-move closure with deletion of adjacent equal
-        letters until no deletion applies; returns the lexicographically
-        least word of the final closure.  Independent of the geometric
-        representation, so it serves as a length oracle in the tests.
-        """
-        w = tuple(word)
-        if len(w) > max_letters:
-            raise ResourceLimitError(
-                f"oracle word length {len(w)} exceeds cap {max_letters}")
-        for s in w:
-            if not 0 <= s < self.n:
-                raise PreconditionError(f"letter {s} out of range")
-        while True:
-            i = _first_repeat(w)
-            if i is not None:
-                w = w[:i] + w[i + 2:]
-                continue
-            closure = self.braid_closure(w)
-            shorter = None
-            for u in sorted(closure):
-                j = _first_repeat(u)
-                if j is not None:
-                    shorter = u[:j] + u[j + 2:]
-                    break
-            if shorter is None:
-                return min(closure) if closure else ()
-            w = shorter
-
     def __repr__(self) -> str:
         return f"CoxeterSystem({', '.join(self.matrix.names)})"
 
 
-def _first_repeat(w: Word):
-    for i in range(len(w) - 1):
-        if w[i] == w[i + 1]:
-            return i
-    return None
+def k_constant(system: CoxeterSystem) -> int:
+    """Max chunk length: the longest w0 over finite standard parabolics.
+    l(w0(T)) counts the reflections of <T>, so it grows with T, and only
+    the maximal spherical T are measured."""
+    found = set(system.spherical_subsets())
+    return max((system.longest_element(T).length for T in found
+                if not any(tuple(sorted(T + (s,))) in found
+                           for s in range(system.n))), default=0)
 
 
 class Element:

@@ -13,18 +13,18 @@ independent of iteration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import DEFAULT_BALL_CAP, CoxeterSystem, Element, Word
+from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
+                   Word, k_constant)
 from .errors import PreconditionError
-from .language import (DEFAULT_WORD_CAP, _finite_pairs, canonical_word,
-                       check_prop_main, language_words)
+from .language import (_finite_pairs, canonical_word, check_prop_main,
+                       language_words)
 
 Witness = tuple[Word, int]
 
 
-@dataclass(frozen=True)
-class FtReport:
+class FtReport(NamedTuple):
     radius: int
     k: int
     max_ii: int
@@ -36,20 +36,17 @@ class FtReport:
     words: str
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(NamedTuple):
     radius: int
     max_divergence: int
     witness: Witness | None
 
 
-@dataclass(frozen=True)
-class DivergenceTable:
+class DivergenceTable(NamedTuple):
     rows: tuple[DivergenceRow, ...]
 
 
-@dataclass(frozen=True)
-class PropMainReport:
+class PropMainReport(NamedTuple):
     radius: int
     residues: int
     checks: int
@@ -58,16 +55,6 @@ class PropMainReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def k_constant(system: CoxeterSystem) -> int:
-    """Max chunk length: the longest w0 over finite standard parabolics.
-    l(w0(T)) counts the reflections of <T>, so it grows with T, and only
-    the maximal spherical T are measured."""
-    found = set(system.spherical_subsets())
-    return max((system.longest_element(T).length for T in found
-                if not any(tuple(sorted(T + (s,))) in found
-                           for s in range(system.n))), default=0)
 
 
 def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:

@@ -11,17 +11,13 @@ two executable lemma checks live here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import CoxeterSystem, Element, Word
+from .core import DEFAULT_WORD_CAP, CoxeterSystem, Element, Word
 from .errors import InvariantViolation, PreconditionError, ResourceLimitError
-from .walls import conjugate_wall, wall_of_generator, wall_set
-
-DEFAULT_WORD_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """One peeling step: remainder * longest == the element peeled from."""
 
     parabolic: frozenset[int]
@@ -132,6 +128,8 @@ def check_append_lemma(g: Element, T) -> tuple[bool, bool]:
     to the edge (g·w0, g·w0·t) avoids the wall set of g.
     Equivalence of the two is the tested lemma.
     """
+    from .walls import conjugate_wall, wall_of_generator, wall_set
+
     system = g.system
     T = frozenset(T)
     w0 = system.longest_element(T)

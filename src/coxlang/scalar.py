@@ -16,20 +16,17 @@ degree the filter decides every value with |a(theta)| above about
 2^-63 * sum |a_i|.  Only the rest fall back to exact bisection of the
 interval for theta, with the value bounded by integer interval
 arithmetic; it always terminates, because the bounds close in on a
-nonzero value.  Floating point is used once, to seed the isolating
-interval for theta, and never in a decision.
+nonzero value.  The interval for theta is dyadic, held as integers
+(lo, hi, k) for [lo/2^k, hi/2^k].  Floating point is used once, to seed
+it, and never in a decision.
 
-Internally a field element is a plain tuple of ints/Fractions (a "raw"
-vector); the Scalar class is a thin arithmetic wrapper around it.  The
-library's own values are integer vectors; Fractions enter only through
-the public Scalar API.  Python guarantees hash(Fraction(k)) == hash(k), so
-mixed int/Fraction vectors compare and hash consistently.
+A field element is a plain tuple of ints (a "raw" vector): every library
+value is an integer vector.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, neg, sub
 
@@ -39,7 +36,7 @@ from .errors import FieldMismatchError, InvariantViolation, ResourceLimitError
 # large integer; the only arithmetic done with it is equality testing.
 INF = math.inf
 
-Raw = tuple  # coefficient vector of ints/Fractions, length = field degree
+Raw = tuple  # coefficient vector of ints, length = field degree
 
 # The sign filter holds theta^i * 2^_FILTER_BITS rounded outward to
 # integers, from an enclosure of theta of width 2^-_THETA_BITS.  The extra
@@ -97,35 +94,30 @@ def _pk_polys(top: int) -> list[tuple[int, ...]]:
     return polys[: top + 1]
 
 
-def _psi_sign(psi: tuple[int, ...], x: Fraction) -> int:
-    """Sign of psi(x), from the integer psi(x) * den^deg with x = num/den."""
-    num, den = x.numerator, x.denominator
+def _psi_sign(psi: tuple[int, ...], num: int, k: int) -> int:
+    """Sign of psi(num / 2^k), from the integer psi(num / 2^k) * 2^(k*deg)."""
     acc = psi[-1]
-    scale = 1
+    shift = 0
     for c in reversed(psi[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
+        shift += k
+        acc = acc * num + (c << shift)
     return (acc > 0) - (acc < 0)
 
 
-def _interval_eval(coeffs: Raw, lo: Fraction, hi: Fraction):
-    """Bounds vlo <= a(x) * den^(deg-1) <= vhi for all x in [lo, hi], where
-    0 < lo, den is the common denominator of lo and hi, and a has integer
-    coefficients.
+def _interval_eval(coeffs: Raw, lo: int, hi: int, k: int):
+    """Bounds vlo <= a(x) * 2^(k*(deg-1)) <= vhi for all x in
+    [lo/2^k, hi/2^k], where 0 < lo and a has integer coefficients.
 
     Horner with interval arithmetic on integers.  Since x > 0, a lower
     bound is multiplied by the low end when it is nonnegative and by the
     high end otherwise, and an upper bound the other way round.
     """
-    den = math.lcm(lo.denominator, hi.denominator)
-    lnum = lo.numerator * (den // lo.denominator)
-    hnum = hi.numerator * (den // hi.denominator)
     vlo = vhi = coeffs[-1]
-    scale = 1
+    shift = 0
     for c in reversed(coeffs[:-1]):
-        scale *= den
-        vlo = vlo * (lnum if vlo >= 0 else hnum) + c * scale
-        vhi = vhi * (hnum if vhi >= 0 else lnum) + c * scale
+        shift += k
+        vlo = vlo * (lo if vlo >= 0 else hi) + (c << shift)
+        vhi = vhi * (hi if vhi >= 0 else lo) + (c << shift)
     return vlo, vhi
 
 
@@ -184,16 +176,18 @@ class CycloField:
         self.two = tuple(2 if i == 0 else 0 for i in range(d))
         self.theta = pows[1] if d >= 2 else (top[0],)
 
-        # Isolating interval for theta as the largest real root of psi:
-        # seeded from a float estimate, then certified by a sign change.
+        # Isolating interval [lo/2^k, hi/2^k] for theta as the largest real
+        # root of psi: seeded from a float estimate, then certified by a
+        # sign change.
         if n == 1:
-            lo, hi = Fraction(-3), Fraction(-1)
+            iso = (-3, -1, 0)
         else:
-            est = Fraction(2 * math.cos(math.pi / n))
-            lo, hi = est - Fraction(1, 2**20), Fraction(2)
-        if not (_psi_sign(psi, lo) < 0 < _psi_sign(psi, hi)):
+            k = 20
+            iso = (math.floor(2 * math.cos(math.pi / n) * 2**k) - 1, 2 << k, k)
+        lo, hi, k = iso
+        if not (_psi_sign(psi, lo, k) < 0 < _psi_sign(psi, hi, k)):
             raise InvariantViolation("isolating interval failed its sign check")
-        self._iso = (lo, hi)
+        self._iso = iso
         self._filter = None
 
         # Sanity anchor: p_n(theta) = 2cos(pi) = -2, so p_n + 2 must vanish.
@@ -204,8 +198,6 @@ class CycloField:
     # ----- raw vector arithmetic -------------------------------------
 
     def raw_from_rational(self, q) -> Raw:
-        if isinstance(q, Fraction) and q.denominator == 1:
-            q = q.numerator
         return (q,) + (0,) * (self.degree - 1)
 
     def raw_add(self, a: Raw, b: Raw) -> Raw:
@@ -248,9 +240,6 @@ class CycloField:
             prev, cur = cur, self.raw_sub(self.raw_mul(self.theta, cur), prev)
         return cur
 
-    def raw_is_zero(self, a: Raw) -> bool:
-        return not any(a)
-
     def _build_filter(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The sign filter's table: (lo_i), (w_i) with
         lo_i <= theta^i * 2^_FILTER_BITS <= lo_i + w_i for i < degree.
@@ -263,20 +252,16 @@ class CycloField:
         """
         q, p = _THETA_BITS, _FILTER_BITS
         psi = self.psi
-        lo, hi = self._iso
-        low = math.floor(lo * 2**q)
-        high = math.ceil(hi * 2**q)
-        if not (_psi_sign(psi, Fraction(low, 2**q)) < 0
-                < _psi_sign(psi, Fraction(high, 2**q))):
-            raise InvariantViolation("theta enclosure failed its sign check")
+        lo, hi, k = self._iso
+        low, high = lo << (q - k), hi << (q - k)
         while high - low > 1:
             mid = (low + high) >> 1
             # psi(mid / 2^q) != 0: psi is irreducible of degree >= 2.
-            if _psi_sign(psi, Fraction(mid, 2**q)) > 0:
+            if _psi_sign(psi, mid, q) > 0:
                 high = mid
             else:
                 low = mid
-        self._iso = (Fraction(low, 2**q), Fraction(high, 2**q))
+        self._iso = (low, high, q)
         los, ws = [], []
         lpow = hpow = 1
         for i in range(self.degree):
@@ -296,11 +281,6 @@ class CycloField:
         if self.degree == 1:
             c = a[0]
             return 1 if c > 0 else -1
-        if any(type(x) is not int for x in a):
-            # Fraction entries (public Scalar API): a positive multiple of
-            # the vector has the same sign.
-            den = math.lcm(*(x.denominator for x in a))
-            a = tuple(int(x * den) for x in a)
         los, ws = self._filter or self._build_filter()
         est = sum(map(mul, a, los))
         slack = sum(map(mul, map(abs, a), ws))
@@ -310,21 +290,22 @@ class CycloField:
             return -1
         # Exact fallback: bisect the cached interval for theta until the
         # interval value of a excludes 0, and keep the narrower interval.
-        lo, hi = self._iso
+        lo, hi, k = self._iso
         psi = self.psi
         while True:
-            vlo, vhi = _interval_eval(a, lo, hi)
+            vlo, vhi = _interval_eval(a, lo, hi, k)
             if vlo > 0 or vhi < 0:
-                self._iso = (lo, hi)
+                self._iso = (lo, hi, k)
                 return 1 if vlo > 0 else -1
-            mid = (lo + hi) / 2
+            # One more bit: the midpoint is lo + hi over 2^(k+1).
+            mid, k = lo + hi, k + 1
             # psi(lo) < 0 < psi(hi) throughout; a positive value at mid
             # puts theta in the left half.  psi(mid) != 0 since psi is
             # irreducible of degree >= 2.
-            if _psi_sign(psi, mid) > 0:
-                hi = mid
+            if _psi_sign(psi, mid, k) > 0:
+                lo, hi = lo << 1, mid
             else:
-                lo = mid
+                lo, hi = mid, hi << 1
 
     def two_cos_raw(self, m) -> Raw:
         """2cos(pi/m) as a raw vector; m = INF gives 2."""
@@ -341,22 +322,6 @@ class CycloField:
             raise FieldMismatchError(
                 f"order {m} does not divide {self.n}; wrong field")
         return self.raw_pk(self.n // m)
-
-    # ----- public wrappers --------------------------------------------
-
-    def scalar(self, q) -> "Scalar":
-        return Scalar(self, self.raw_from_rational(Fraction(q)))
-
-    def from_coeffs(self, coeffs) -> "Scalar":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != self.degree:
-            raise FieldMismatchError(
-                f"expected {self.degree} coefficients, got {len(coeffs)}")
-        norm = tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
-        return Scalar(self, norm)
-
-    def theta_scalar(self) -> "Scalar":
-        return Scalar(self, self.theta)
 
     def __repr__(self) -> str:
         if self.n == 1:
@@ -407,87 +372,3 @@ def _totient(m: int) -> int:
                 m //= p
         p += 1
     return out - out // m if m > 1 else out
-
-
-def two_cos(field: CycloField, m) -> "Scalar":
-    """The scalar 2cos(pi/m) in `field`; m = INF gives 2."""
-    return Scalar(field, field.two_cos_raw(m))
-
-
-class Scalar:
-    """An element of a CycloField: exact, hashable, reduced mod psi."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: CycloField, coeffs: Raw):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other) -> Raw:
-        if isinstance(other, Scalar):
-            if other.field is not self.field:
-                raise FieldMismatchError("scalars from different fields")
-            return other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.field.raw_from_rational(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.raw_add(self.coeffs, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.raw_sub(self.coeffs, raw))
-
-    def __rsub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.raw_sub(raw, self.coeffs))
-
-    def __mul__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.raw_mul(self.coeffs, raw))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.raw_neg(self.coeffs))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field is other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == self.field.raw_from_rational(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def is_zero(self) -> bool:
-        return self.field.raw_is_zero(self.coeffs)
-
-    def sign(self) -> int:
-        return self.field.raw_sign(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                if k == 0:
-                    terms.append(f"{c}")
-                elif k == 1:
-                    terms.append(f"{c}*t")
-                else:
-                    terms.append(f"{c}*t^{k}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Scalar({body}; t = 2cos(pi/{self.field.n}))"

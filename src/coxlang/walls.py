@@ -23,9 +23,6 @@ from __future__ import annotations
 from .core import CoxeterSystem, Element
 from .errors import InvariantViolation, PreconditionError
 
-NEAR = "near"
-FAR = "far"
-
 
 class Wall:
     """A wall, keyed by its canonical positive root."""
@@ -75,12 +72,6 @@ def wall_of_generator(system: CoxeterSystem, s: int) -> Wall:
 def conjugate_wall(g: Element, wall: Wall) -> Wall:
     """The image wall g(W): reflection g·r·g⁻¹, root the positive of ±g(root)."""
     return wall_from_root(g.system, g.system.apply(g.mat, wall.root))
-
-
-def side(wall: Wall, g: Element) -> str:
-    """NEAR iff g's chamber is on the identity side of the wall."""
-    pulled = wall.system.apply(g.inv, wall.root)
-    return NEAR if wall.system.root_sign(pulled) > 0 else FAR
 
 
 def inversion_walls(g: Element) -> list[Wall]:

@@ -4,13 +4,173 @@ Everything here is deliberately built from different principles than the
 library internals: word rewriting instead of the linear representation,
 sign sampling instead of bilinear-form tests, generating-function counts
 instead of graph search, and the plain loops that a library shortcut
-replaced.
+replaced.  The library has no caller of any of them: word-rewriting
+lengths (`tits_reduce`), chamber sides, and the `Scalar` wrapper over raw
+field vectors live here.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from coxlang import walls as wl
+from coxlang.errors import (FieldMismatchError, PreconditionError,
+                            ResourceLimitError)
 from coxlang.language import descent_data
+
+DEFAULT_ORACLE_LETTERS = 10
+
+NEAR = "near"
+FAR = "far"
+
+
+def _first_repeat(w):
+    for i in range(len(w) - 1):
+        if w[i] == w[i + 1]:
+            return i
+    return None
+
+
+def tits_reduce(system, word, max_letters=DEFAULT_ORACLE_LETTERS):
+    """A geodesic word for the element of `word`, by exhaustive rewriting.
+
+    Alternates braid-move closure with deletion of adjacent equal letters
+    until no deletion applies; returns the lexicographically least word of
+    the final closure.  Independent of the geometric representation, so it
+    serves as a length oracle.
+    """
+    w = tuple(word)
+    if len(w) > max_letters:
+        raise ResourceLimitError(
+            f"oracle word length {len(w)} exceeds cap {max_letters}")
+    for s in w:
+        if not 0 <= s < system.n:
+            raise PreconditionError(f"letter {s} out of range")
+    while True:
+        i = _first_repeat(w)
+        if i is not None:
+            w = w[:i] + w[i + 2:]
+            continue
+        closure = system.braid_closure(w)
+        shorter = None
+        for u in sorted(closure):
+            j = _first_repeat(u)
+            if j is not None:
+                shorter = u[:j] + u[j + 2:]
+                break
+        if shorter is None:
+            return min(closure) if closure else ()
+        w = shorter
+
+
+def side(wall, g):
+    """NEAR iff g's chamber is on the identity side of the wall."""
+    pulled = wall.system.apply(g.inv, wall.root)
+    return NEAR if wall.system.root_sign(pulled) > 0 else FAR
+
+
+class Scalar:
+    """An element of a CycloField: exact, hashable, reduced mod psi.
+
+    Coefficients may be Fractions; the field's raw arithmetic takes them
+    as they are, and `sign` clears denominators first, since the field
+    decides signs of integer vectors only.
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = coeffs
+
+    @classmethod
+    def rational(cls, field, q):
+        return cls(field, _raw_rational(field, Fraction(q)))
+
+    @classmethod
+    def theta(cls, field):
+        return cls(field, field.theta)
+
+    @classmethod
+    def from_coeffs(cls, field, coeffs):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != field.degree:
+            raise FieldMismatchError(
+                f"expected {field.degree} coefficients, got {len(coeffs)}")
+        return cls(field, tuple(c.numerator if c.denominator == 1 else c
+                                for c in coeffs))
+
+    def _coerce(self, other):
+        if isinstance(other, Scalar):
+            if other.field is not self.field:
+                raise FieldMismatchError("scalars from different fields")
+            return other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return _raw_rational(self.field, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        raw = self._coerce(other)
+        if raw is NotImplemented:
+            return NotImplemented
+        return Scalar(self.field, self.field.raw_add(self.coeffs, raw))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        raw = self._coerce(other)
+        if raw is NotImplemented:
+            return NotImplemented
+        return Scalar(self.field, self.field.raw_sub(self.coeffs, raw))
+
+    def __rsub__(self, other):
+        raw = self._coerce(other)
+        if raw is NotImplemented:
+            return NotImplemented
+        return Scalar(self.field, self.field.raw_sub(raw, self.coeffs))
+
+    def __mul__(self, other):
+        raw = self._coerce(other)
+        if raw is NotImplemented:
+            return NotImplemented
+        return Scalar(self.field, self.field.raw_mul(self.coeffs, raw))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Scalar(self.field, self.field.raw_neg(self.coeffs))
+
+    def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self.field is other.field and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs == _raw_rational(self.field, other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.field), self.coeffs))
+
+    def __repr__(self):
+        return f"Scalar({self.coeffs}; t = 2cos(pi/{self.field.n}))"
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def sign(self):
+        # A positive multiple of the vector has the same sign.
+        den = math.lcm(*(Fraction(x).denominator for x in self.coeffs))
+        return self.field.raw_sign(tuple(int(x * den) for x in self.coeffs))
+
+
+def _raw_rational(field, q):
+    if isinstance(q, Fraction) and q.denominator == 1:
+        q = q.numerator
+    return field.raw_from_rational(q)
+
+
+def two_cos(field, m):
+    """The scalar 2cos(pi/m) in `field`; m = INF gives 2."""
+    return Scalar(field, field.two_cos_raw(m))
 
 
 class TitsBall:
@@ -86,9 +246,9 @@ def rewriting_pair_value(system, v, vp, s, *, max_letters):
     best = 0
     for i in range(max(len(v), len(vp))):
         if i < len(v):
-            d = system.tits_reduce((v[i],) + d, max_letters)
+            d = tits_reduce(system, (v[i],) + d, max_letters)
         if i < len(vp):
-            d = system.tits_reduce(d + (vp[i],), max_letters)
+            d = tits_reduce(system, d + (vp[i],), max_letters)
         best = max(best, len(d))
     return best
 
@@ -119,7 +279,7 @@ def pair_value(system, v, vp, s):
 
 def crossing_patterns(a, b, chambers):
     """Which (side of a, side of b) combinations the sample realizes."""
-    return {(wl.side(a, g), wl.side(b, g)) for g in chambers}
+    return {(side(a, g), side(b, g)) for g in chambers}
 
 
 def sign_pattern_cross(a, b, chambers):
@@ -144,7 +304,7 @@ def chamber_separates(a, g, b):
     of a, so one chamber next to b stands in for the wall.
     """
     return (not wl.walls_cross(a, b)
-            and wl.side(a, g) != wl.side(a, chamber_next_to(b)))
+            and side(a, g) != side(a, chamber_next_to(b)))
 
 
 def q_factorial(n, deg):

@@ -8,6 +8,7 @@ from coxlang import (ParseError, ResourceLimitError, accepts, build,
                      canonical_word, equivalence_scan, from_json, to_dot,
                      to_json)
 from coxlang.automaton import wall_state_key
+from conftest import GROUPS
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +147,17 @@ def test_state_cap(fig1):
         build(fig1, max_states=5)
     assert exc.value.report.truncated
     assert exc.value.report.state_count >= 5
+
+
+
+@pytest.mark.parametrize("fname", ["a3tilde.cox", "triangle_237.cox"])
+def test_build_forms_each_wall_image_once(monkeypatch, fname):
+    """build keeps the image of a wall under w0(T) per T, so on a fresh
+    system it asks conjugate_wall each (w0, wall) question once."""
+    from coxlang import automaton, parse_system
+    asked = []
+    real = automaton.conjugate_wall
+    monkeypatch.setattr(automaton, "conjugate_wall",
+                        lambda g, wall: asked.append((g, wall)) or real(g, wall))
+    build(parse_system((GROUPS / fname).read_text()))
+    assert len(asked) == len(set(asked)) > 0

@@ -101,6 +101,20 @@ def test_automaton_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["start"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("automaton", FIG1, "--format", "json"),
+    ("divergence", A3T, "--radii", "2"),
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    """An output path that cannot be written exits 2 with one error line,
+    not a traceback and exit 1 (which means a failed invariant)."""
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output file: ")
+        assert len(err.splitlines()) == 1
+
+
 def test_automaton_state_cap(capsys):
     code, _, err = run(capsys, "automaton", FIG1, "--max-states", "5")
     assert code == 3

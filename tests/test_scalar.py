@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from coxlang import scalar
 from coxlang.core import INF
 from coxlang.errors import FieldMismatchError, ResourceLimitError
-from coxlang.scalar import CycloField, Scalar, _field, field_for, two_cos
+from coxlang.scalar import CycloField, _field, field_for
+from oracles import Scalar, two_cos
 
 
 def test_minimal_polynomials():
@@ -54,35 +55,35 @@ def test_field_degree_cap():
 
 def test_two_cos_rational_values():
     q = _field(1)
-    assert two_cos(q, 2) == q.scalar(0)
-    assert two_cos(q, 3) == q.scalar(1)
-    assert two_cos(q, 1) == q.scalar(-2)
-    assert two_cos(q, INF) == q.scalar(2)
+    assert two_cos(q, 2) == Scalar.rational(q, 0)
+    assert two_cos(q, 3) == Scalar.rational(q, 1)
+    assert two_cos(q, 1) == Scalar.rational(q, -2)
+    assert two_cos(q, INF) == Scalar.rational(q, 2)
     with pytest.raises(FieldMismatchError):
         two_cos(q, 4)
 
 
 def test_two_cos_algebraic_values():
     f4 = _field(4)
-    root2 = f4.theta_scalar()
+    root2 = Scalar.theta(f4)
     assert two_cos(f4, 4) == root2
-    assert root2 * root2 == f4.scalar(2)
+    assert root2 * root2 == Scalar.rational(f4, 2)
     with pytest.raises(FieldMismatchError):
         two_cos(f4, 3)
 
     f12 = _field(12)
     # 2cos(pi/6) = sqrt(3), 2cos(pi/4) = sqrt(2), 2cos(pi/3) = 1
-    assert two_cos(f12, 6) * two_cos(f12, 6) == f12.scalar(3)
-    assert two_cos(f12, 4) * two_cos(f12, 4) == f12.scalar(2)
-    assert two_cos(f12, 3) == f12.scalar(1)
-    assert two_cos(f12, 2) == f12.scalar(0)
+    assert two_cos(f12, 6) * two_cos(f12, 6) == Scalar.rational(f12, 3)
+    assert two_cos(f12, 4) * two_cos(f12, 4) == Scalar.rational(f12, 2)
+    assert two_cos(f12, 3) == Scalar.rational(f12, 1)
+    assert two_cos(f12, 2) == Scalar.rational(f12, 0)
 
 
 def test_golden_ratio_identity():
     f5 = _field(5)
     phi = two_cos(f5, 5)
-    assert phi * phi - phi - f5.scalar(1) == f5.scalar(0)
-    assert (phi * phi - phi - f5.scalar(1)).is_zero()
+    assert phi * phi - phi - Scalar.rational(f5, 1) == Scalar.rational(f5, 0)
+    assert (phi * phi - phi - Scalar.rational(f5, 1)).is_zero()
 
 
 def test_pk_values_match_cosines():
@@ -99,15 +100,17 @@ def test_pk_values_match_cosines():
 def test_adversarial_near_zero_signs():
     f5 = _field(5)
     phi = two_cos(f5, 5)  # 1.6180...
-    assert (phi - f5.scalar(Fraction(8, 5))).sign() == 1
-    assert (phi - f5.scalar(Fraction(81, 50))).sign() == -1
-    assert (phi - f5.scalar(Fraction(1618033988749894848, 10**18))).sign() == 1
+    assert (phi - Scalar.rational(f5, Fraction(8, 5))).sign() == 1
+    assert (phi - Scalar.rational(f5, Fraction(81, 50))).sign() == -1
+    assert (phi - Scalar.rational(
+        f5, Fraction(1618033988749894848, 10**18))).sign() == 1
     f12 = _field(12)
-    theta = f12.theta_scalar()
-    quartic = theta * theta * theta * theta - f12.scalar(4) * theta * theta
-    assert (quartic + f12.scalar(1)).sign() == 0
-    assert (quartic + f12.scalar(1 + Fraction(1, 10**30))).sign() == 1
-    assert (quartic + f12.scalar(1 - Fraction(1, 10**30))).sign() == -1
+    theta = Scalar.theta(f12)
+    quartic = (theta * theta * theta * theta
+               - Scalar.rational(f12, 4) * theta * theta)
+    assert (quartic + Scalar.rational(f12, 1)).sign() == 0
+    assert (quartic + Scalar.rational(f12, 1 + Fraction(1, 10**30))).sign() == 1
+    assert (quartic + Scalar.rational(f12, 1 - Fraction(1, 10**30))).sign() == -1
 
 
 def _mp_value(field, coeffs):
@@ -136,11 +139,11 @@ def _convergents(x, max_q):
 def _near_zero_pairs(field):
     """Pairs (x, y) of field elements with an irrational ratio: powers
     theta^k against 1, and p_1(theta) against p_2(theta)."""
-    one = field.scalar(1)
+    one = Scalar.rational(field, 1)
     pairs = []
     power = one
     for _ in range(1, field.degree):
-        power = power * field.theta_scalar()
+        power = power * Scalar.theta(field)
         pairs.append((power, one))
     if field.degree > 2:
         pairs.append((Scalar(field, field.raw_pk(1)),
@@ -160,13 +163,12 @@ def test_filter_table_encloses_theta_powers(n):
             assert lo <= scaled <= lo + w
             # Rounding, plus the spread of theta^i over a 2^-128 interval.
             assert w <= 2 + i * theta**i * mpmath.mpf(2) ** -63
-        lo, hi = field._iso
-        assert hi - lo == Fraction(1, 2**128)
-        assert lo.numerator / mpmath.mpf(lo.denominator) < theta
-        assert theta < hi.numerator / mpmath.mpf(hi.denominator)
+        lo, hi, k = field._iso
+        assert (hi - lo, k) == (1, 128)
+        assert lo / mpmath.mpf(2) ** k < theta < hi / mpmath.mpf(2) ** k
 
 
-@pytest.mark.parametrize("n", [4, 5, 12, 30])
+@pytest.mark.parametrize("n", [4, 5, 12, 30, 42])
 def test_signs_past_the_filter_match_mpmath(n, monkeypatch):
     """q*x - p*y for convergents p/q of x/y is nonzero and within about
     1/q of 0.  With q > 2^40 its coefficients are so much larger than its
@@ -198,16 +200,47 @@ def test_signs_past_the_filter_match_mpmath(n, monkeypatch):
     assert checked >= 12
 
 
+def test_bisection_at_degree_12_keeps_an_exact_dyadic_enclosure(monkeypatch):
+    """Field degree 12 (N = 42, the (2,3,7) field): a value within 10^-30
+    of 0 passes the 64-bit filter, and the exact fallback bisects.  Each
+    step adds one bit to the integer interval (lo, hi, k) for theta; the
+    last one must still enclose theta, psi must change sign across it, the
+    field must keep it, and the sign must match 100-digit mpmath."""
+    calls = []
+    real = scalar._interval_eval
+    monkeypatch.setattr(scalar, "_interval_eval",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    field = CycloField(42)
+    assert field.degree == 12
+    with mpmath.workdps(100):
+        theta = 2 * mpmath.cos(mpmath.pi / 42)
+        for i in (1, 5, 11):
+            for p, q in _convergents(theta**i, 10**30)[-2:]:
+                assert q > 2**40
+                power = Scalar(field, field._pows[i])
+                value = q * power - p
+                ref = _mp_value(field, value.coeffs)
+                before = len(calls)
+                assert value.sign() == (1 if ref > 0 else -1)
+                assert len(calls) > before
+                lo, hi, k = calls[-1]
+                assert k > 128 and hi - lo == 1
+                assert lo / mpmath.mpf(2) ** k < theta < hi / mpmath.mpf(2) ** k
+                assert (scalar._psi_sign(field.psi, lo, k)
+                        < 0 < scalar._psi_sign(field.psi, hi, k))
+                assert field._iso == (lo, hi, k)
+
+
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=97)
 
 
 @given(rationals, rationals)
 def test_rational_embedding_is_a_homomorphism(a, b):
     for field in (_field(1), _field(5)):
-        sa, sb = field.scalar(a), field.scalar(b)
-        assert sa + sb == field.scalar(a + b)
-        assert sa * sb == field.scalar(a * b)
-        assert sa - sb == field.scalar(a - b)
+        sa, sb = Scalar.rational(field, a), Scalar.rational(field, b)
+        assert sa + sb == Scalar.rational(field, a + b)
+        assert sa * sb == Scalar.rational(field, a * b)
+        assert sa - sb == Scalar.rational(field, a - b)
         assert sa.sign() == (a > 0) - (a < 0)
 
 
@@ -217,19 +250,19 @@ coeffs12 = st.tuples(*([st.integers(min_value=-50, max_value=50)] * 4))
 @given(coeffs12, coeffs12, coeffs12)
 def test_ring_axioms(xc, yc, zc):
     f = _field(12)
-    x, y, z = f.from_coeffs(xc), f.from_coeffs(yc), f.from_coeffs(zc)
+    x, y, z = (Scalar.from_coeffs(f, c) for c in (xc, yc, zc))
     assert x + y == y + x
     assert x * y == y * x
     assert (x + y) * z == x * z + y * z
     assert (x * y) * z == x * (y * z)
-    assert x + (-x) == f.scalar(0)
+    assert x + (-x) == Scalar.rational(f, 0)
     assert (-x).sign() == -x.sign()
 
 
 @given(coeffs12)
 def test_sign_matches_high_precision_float(c):
     f = _field(12)
-    x = f.from_coeffs(c)
+    x = Scalar.from_coeffs(f, c)
     with mpmath.workdps(100):
         theta = 2 * mpmath.cos(mpmath.pi / 12)
         val = sum(int(ci) * theta**i for i, ci in enumerate(c))
@@ -250,17 +283,17 @@ def test_chebyshev_recurrence_against_floats():
 
 
 def test_field_mismatch_between_fields():
-    a = _field(4).theta_scalar()
-    b = _field(5).theta_scalar()
+    a = Scalar.theta(_field(4))
+    b = Scalar.theta(_field(5))
     with pytest.raises(FieldMismatchError):
         _ = a + b
     with pytest.raises(FieldMismatchError):
-        _field(5).from_coeffs((1, 2, 3))
+        Scalar.from_coeffs(_field(5), (1, 2, 3))
 
 
 def test_scalar_hash_consistency():
     f = _field(5)
     phi = two_cos(f, 5)
-    same = f.theta_scalar()
+    same = Scalar.theta(f)
     assert phi == same and hash(phi) == hash(same)
-    assert f.scalar(2) == two_cos(f, INF)
+    assert Scalar.rational(f, 2) == two_cos(f, INF)

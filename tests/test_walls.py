@@ -13,9 +13,9 @@ import pytest
 
 from coxlang import PreconditionError, parse_system
 from coxlang import walls as wl
-from coxlang.walls import FAR, NEAR
 from conftest import GROUPS
-from oracles import chamber_next_to, chamber_separates, sign_pattern_cross
+from oracles import (FAR, NEAR, chamber_next_to, chamber_separates, side,
+                     sign_pattern_cross)
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -24,8 +24,8 @@ def test_generator_walls(fig1):
     for s in range(fig1.n):
         w = wl.wall_of_generator(fig1, s)
         assert w.reflection == fig1.generator(s)
-        assert wl.side(w, fig1.identity) == NEAR
-        assert wl.side(w, fig1.generator(s)) == FAR
+        assert side(w, fig1.identity) == NEAR
+        assert side(w, fig1.generator(s)) == FAR
 
 
 def test_wall_from_root_canonicalizes(fig1):
@@ -57,8 +57,8 @@ def test_inversion_walls_count_and_side(fig1, a3tilde, ball):
             assert len(walls) == g.length
             assert len(set(walls)) == g.length
             for w in walls:
-                assert wl.side(w, g) == FAR
-                assert wl.side(w, system.identity) == NEAR
+                assert side(w, g) == FAR
+                assert side(w, system.identity) == NEAR
 
 
 def test_reflection_length_is_odd_and_palindromic_in_value(fig1, ball):
@@ -99,8 +99,8 @@ def test_adjacent_chamber_straddles(fig1, a3tilde, ball):
             u = (c.inverse() * w.reflection * c)
             assert u.length == 1
             s = u.nf[0]
-            assert wl.side(w, c) == NEAR
-            assert wl.side(w, system.mul_gen(c, s)) == FAR
+            assert side(w, c) == NEAR
+            assert side(w, system.mul_gen(c, s)) == FAR
             assert w.reflection == c * u * c.inverse()
 
 
