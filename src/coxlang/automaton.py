@@ -2,11 +2,12 @@
 
 States are finite wall sets pulled back to the identity: reading a prefix
 of a language word leaves the machine in the state g^-1·W(g), where g is
-the element spelled so far.  A transition consumes one whole chunk (any
-reduced word of the longest element of a finite parabolic T) and is
-allowed precisely when no generator wall of T, and no far-side image of an
-outside generator wall, is blocked by the current set.  All states accept;
-the start state is the empty set.
+the element spelled so far, and each such wall is a small root.  A
+transition consumes one whole chunk (any reduced word of the longest
+element of a finite parabolic T) and is allowed precisely when no
+generator wall of T, and no far-side image of an outside generator wall,
+is blocked by the current set.  All states accept; the start state is
+the empty set.
 
 The state space is discovered by breadth-first closure rather than given a
 priori, so construction needs no global constants, and a scan against the
@@ -21,8 +22,8 @@ from typing import NamedTuple
 from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
 from .language import is_in_standard_language
-from .walls import (Wall, _nearest_walls, conjugate_wall, inversion_walls,
-                    residue_walls, wall_of_generator)
+from .walls import (Wall, conjugate_wall, inversion_walls, pulled_wall_set,
+                    small_roots, wall_of_generator)
 
 MAX_SCAN_WORDS = 10**6
 
@@ -72,29 +73,25 @@ def _render(system: CoxeterSystem, states):
 
 def wall_state_key(system: CoxeterSystem, g: Element) -> tuple[str, ...]:
     """The state reached after spelling g: its wall set pulled back by g,
-    which is the nearest of the inversion walls of g^-1."""
-    walls = _nearest_walls(inversion_walls(g.inverse()))
-    return _render(system, [walls])[0][0]
+    which is the small inversion walls of g^-1."""
+    return _render(system, [pulled_wall_set(g)])[0][0]
 
 
 def build(system: CoxeterSystem,
           max_states: int = 10_000) -> tuple[ResidueFsa, BuildReport]:
     """Breadth-first state discovery from the empty wall set."""
     subsets = system.spherical_subsets()
+    small = small_roots(system)
     chunk = {}
     for T in subsets:
         w0 = system.longest_element(T)
         # w0 permutes the generator walls of T, and takes each outside
-        # generator wall to its far-side image.  The images of walls under
-        # w0 are kept: the states share a few walls.
-        images = {}
-        for t in range(system.n):
-            a = wall_of_generator(system, t)
-            images[a] = conjugate_wall(w0, a)
-        blocked = set(images.values())
+        # generator wall to its far-side image.  State walls are small.
+        images = {a: conjugate_wall(w0, a) for a in small}
+        blocked = {images[wall_of_generator(system, t)] for t in range(system.n)}
+        images = {a: b for a, b in images.items() if b in small}
         labels = tuple(sorted(system.braid_closure(w0.nf)))
-        chunk[T] = (w0, blocked, labels,
-                    residue_walls(system, system.identity, T), images)
+        chunk[T] = (w0, blocked, labels, frozenset(inversion_walls(w0)), images)
 
     start: frozenset[Wall] = frozenset()
     states = [start]
@@ -107,10 +104,7 @@ def build(system: CoxeterSystem,
             w0, blocked, labels, rwalls, images = chunk[T]
             if not walls.isdisjoint(blocked):
                 continue
-            for a in walls.difference(images):
-                images[a] = conjugate_wall(w0, a)
-            target_walls = _nearest_walls(
-                rwalls.union(images[a] for a in walls))
+            target_walls = rwalls.union(images[a] for a in images.keys() & walls)
             target = index.get(target_walls)
             if target is None:
                 target = len(states)

@@ -22,8 +22,8 @@ g⁻¹·x.  The dense `_mat_mul` is their test oracle.
 
 Elements are interned: a system hands out one Element per group element,
 keyed by its matrix.  So what an element memoises serves every caller:
-normal form, descent sets (shared per system), wall set, descent data
-(T, w, Pi), canonical word, and generator steps.  `mul_gen(g, s)` stores
+normal form, descent sets (shared per system), descent data (T, w, Pi),
+canonical word, and generator steps.  `mul_gen(g, s)` stores
 g·s on g and g on g·s, and `gen_mul` likewise on the left, so a repeated
 step is a lookup.  Equality and hashing read the matrix.
 """
@@ -124,10 +124,6 @@ def parse_word(names, text: str) -> Word:
     return tuple(index[p] for p in parts)
 
 
-def _alt(a: int, b: int, length: int) -> Word:
-    return tuple(a if k % 2 == 0 else b for k in range(length))
-
-
 class CoxeterSystem:
     """A Coxeter matrix together with its exact geometric representation."""
 
@@ -172,11 +168,15 @@ class CoxeterSystem:
                 raise InvariantViolation("generator matrix is not an involution")
 
         self._index = {name: i for i, name in enumerate(matrix.names)}
+        # (a, b) -> the alternating word a b a ... of length m_ab, finite m.
+        self._braids = {
+            (a, b): tuple((a, b)[k % 2] for k in range(matrix.orders[a][b]))
+            for a in range(n) for b in range(n)
+            if a != b and matrix.orders[a][b] != INF}
         self._w0_cache: dict[frozenset, Element] = {}
         self._finite_cache: dict[frozenset, bool] = {}
         self._closure_cache: dict[Word, tuple[Word, ...]] = {}
-        self._residue_walls_cache: dict[frozenset, frozenset] = {}
-        self._farther_cache: dict[tuple, object] = {}
+        self._small_roots: frozenset | None = None
         self._spherical: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
@@ -520,21 +520,15 @@ class CoxeterSystem:
         cached = self._closure_cache.get(w0)
         if cached is not None:
             return frozenset(cached)
-        orders = self.matrix.orders
+        braids = self._braids
         seen = {w0}
         queue = [w0]
         while queue:
             u = queue.pop()
-            L = len(u)
-            for i in range(L - 1):
-                a, b = u[i], u[i + 1]
-                if a == b:
-                    continue
-                m = orders[a][b]
-                if m == INF or i + m > L:
-                    continue
-                if u[i:i + m] == _alt(a, b, m):
-                    v = u[:i] + _alt(b, a, m) + u[i + m:]
+            for i in range(len(u) - 1):
+                alt = braids.get(u[i:i + 2])
+                if alt is not None and u[i:i + len(alt)] == alt:
+                    v = u[:i] + braids[alt[1], alt[0]] + u[i + len(alt):]
                     if v not in seen:
                         seen.add(v)
                         queue.append(v)
@@ -569,7 +563,7 @@ class Element:
     """
 
     __slots__ = ("system", "mat", "_inv", "_slot", "_nf", "_rdesc", "_ldesc",
-                 "_wall_set", "_steps", "_descent", "_canonical")
+                 "_steps", "_descent", "_canonical")
 
     def __init__(self, system: CoxeterSystem, mat, inv, slot):
         self.system = system
@@ -579,7 +573,6 @@ class Element:
         self._nf = None
         self._rdesc = None
         self._ldesc = None
-        self._wall_set = None
         self._steps = [None] * (2 * system.n)
         self._descent = None
         self._canonical = None

@@ -12,6 +12,10 @@ pulling both back, and answered by root dominance (Brink & Howlett 1993,
 Björner & Brenti 2005, Combinatorics of Coxeter Groups, 4.7; see
 `_farther`).
 
+An inversion wall of g^-1 has no other one between the identity and it
+exactly when its root is small, so wall sets are found by membership in
+the finite set of small roots (see `small_roots`).
+
 Root vectors here are raw coefficient tuples over the system's field, in
 the simple-root basis.  All predicates reduce to exact sign tests of
 integer vectors: root coordinates, and values of the doubled form 2B that
@@ -116,21 +120,13 @@ def _farther(a: Wall, b: Wall) -> Wall | None:
     infinite dihedral group and a, b lie on one chain of its positive
     roots, whose coefficients grow away from the identity; so the farther
     root minus the nearer is nonnegative.  root_sign raises on mixed signs.
-    The answer does not depend on the order of a and b, and is kept on the
-    system per unordered pair of roots.
     """
     sysm, field = a.system, a.system.field
-    key = (a.root, b.root) if a.root < b.root else (b.root, a.root)
-    if key in sysm._farther_cache:
-        return sysm._farther_cache[key]
     if field.raw_sign(field.raw_sub(sysm.bilinear(a.root, b.root),
                                     field.two)) < 0:
-        far = None
-    else:
-        diff = tuple(field.raw_sub(x, y) for x, y in zip(b.root, a.root))
-        far = b if sysm.root_sign(diff) > 0 else a
-    sysm._farther_cache[key] = far
-    return far
+        return None
+    diff = tuple(field.raw_sub(x, y) for x, y in zip(b.root, a.root))
+    return b if sysm.root_sign(diff) > 0 else a
 
 
 def separates_vertex_from_wall(a: Wall, g: Element, b: Wall) -> bool:
@@ -145,39 +141,54 @@ def separates_vertex_from_wall(a: Wall, g: Element, b: Wall) -> bool:
     return _farther(conjugate_wall(ginv, a), b) == b
 
 
+def small_roots(system: CoxeterSystem) -> frozenset[Wall]:
+    """The walls of the small roots, which dominate no other positive root:
+    the simple roots closed under s_t while -2 < 2B(root, a_t) < 0
+    (Björner & Brenti 2005, 4.7.3).  They are finitely many (Brink &
+    Howlett 1993), and kept on the system."""
+    if system._small_roots is None:
+        field = system.field
+        found = [wall_of_generator(system, s) for s in range(system.n)]
+        seen = set(found)
+        for wall in found:
+            for t in range(system.n):
+                val = system.bform_dot(t, wall.root)
+                if (field.raw_sign(val) < 0 and
+                        field.raw_sign(field.raw_add(val, field.two)) > 0):
+                    root = list(wall.root)  # s_t changes coordinate t only
+                    root[t] = field.raw_sub(root[t], val)
+                    image = Wall(system, tuple(root))
+                    if image not in seen:
+                        seen.add(image)
+                        found.append(image)
+        system._small_roots = frozenset(seen)
+    return system._small_roots
+
+
+def pulled_wall_set(g: Element) -> frozenset[Wall]:
+    """The wall set of g pulled back by g^-1: the small inversion walls of
+    g^-1.  A non-small one dominates another positive root, which is then
+    an inversion wall of g^-1 between the identity and it."""
+    small = small_roots(g.system)
+    return frozenset(w for w in inversion_walls(g.inverse()) if w in small)
+
+
 def wall_set(g: Element) -> frozenset[Wall]:
     """The walls separating g from the identity with no wall in between.
 
     Candidate separators can be restricted to inversion walls of g: a wall
     separating g from an inversion wall of g lies on a geodesic's path and
     so separates g from the identity itself.  Pulled back by g^-1, these
-    are the inversion walls of g^-1 nearest the identity.
+    are the small inversion walls of g^-1.
     """
-    if g._wall_set is None:
-        pulled = _nearest_walls(inversion_walls(g.inverse()))
-        g._wall_set = frozenset(conjugate_wall(g, w) for w in pulled)
-    return g._wall_set
-
-
-def _nearest_walls(walls) -> frozenset[Wall]:
-    """The walls with no other of them between the identity and them."""
-    walls = list(set(walls))
-    farther = {_farther(a, b) for i, a in enumerate(walls)
-               for b in walls[i + 1:]}
-    return frozenset(walls).difference(farther)
+    return frozenset(conjugate_wall(g, w) for w in pulled_wall_set(g))
 
 
 def residue_walls(system: CoxeterSystem, g: Element, T) -> frozenset[Wall]:
     """The walls separating some pair of chambers of the residue g<T>."""
-    T = frozenset(T)
-    base = system._residue_walls_cache.get(T)
-    if base is None:
-        w0 = system.longest_element(T)  # raises InfiniteParabolicError
-        base = frozenset(inversion_walls(w0))
-        if len(base) != w0.length:
-            raise InvariantViolation("residue wall count != l(w0)")
-        system._residue_walls_cache[T] = base
+    w0 = system.longest_element(T)  # raises InfiniteParabolicError
+    base = frozenset(inversion_walls(w0))
+    if len(base) != w0.length:
+        raise InvariantViolation("residue wall count != l(w0)")
     gate = system.residue_gate(g, T)
-    if gate.is_identity():
-        return base
     return frozenset(conjugate_wall(gate, w) for w in base)

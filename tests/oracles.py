@@ -307,6 +307,17 @@ def chamber_separates(a, g, b):
             and side(a, g) != side(a, chamber_next_to(b)))
 
 
+def nearest_walls(walls):
+    """The walls with no other of them between the identity and them, by
+    the pairwise separation test over every ordered pair."""
+    walls = set(walls)
+    identity = next(iter(walls)).system.identity if walls else None
+    return frozenset(
+        b for b in walls
+        if not any(wl.separates_vertex_from_wall(a, identity, b)
+                   for a in walls if a != b))
+
+
 def q_factorial(n, deg):
     """Coefficients of [n]_q! truncated at degree deg."""
     out = [1]

@@ -5,10 +5,13 @@ import json
 import pytest
 
 from coxlang import (ParseError, ResourceLimitError, accepts, build,
-                     canonical_word, equivalence_scan, from_json, to_dot,
-                     to_json)
+                     canonical_word, equivalence_scan, from_json,
+                     parse_system, to_dot, to_json)
 from coxlang.automaton import wall_state_key
+from coxlang.walls import inversion_walls, small_roots
 from conftest import GROUPS
+
+SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
 
 @pytest.fixture(scope="module")
@@ -152,12 +155,27 @@ def test_state_cap(fig1):
 
 @pytest.mark.parametrize("fname", ["a3tilde.cox", "triangle_237.cox"])
 def test_build_forms_each_wall_image_once(monkeypatch, fname):
-    """build keeps the image of a wall under w0(T) per T, so on a fresh
-    system it asks conjugate_wall each (w0, wall) question once."""
-    from coxlang import automaton, parse_system
+    """build tabulates the image of every small root under w0(T) once per
+    spherical T, up front, and asks conjugate_wall nothing else."""
+    from coxlang import automaton
     asked = []
     real = automaton.conjugate_wall
     monkeypatch.setattr(automaton, "conjugate_wall",
                         lambda g, wall: asked.append((g, wall)) or real(g, wall))
-    build(parse_system((GROUPS / fname).read_text()))
-    assert len(asked) == len(set(asked)) > 0
+    system = parse_system((GROUPS / fname).read_text())
+    build(system)
+    assert len(asked) == len(set(asked)) == (
+        len(system.spherical_subsets()) * len(small_roots(system)))
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_state_walls_are_small_roots(fname):
+    """Every wall of every state, the walls of each <T> among them, is a
+    small root."""
+    system = parse_system((GROUPS / fname).read_text())
+    small = small_roots(system)
+    fsa, _ = build(system)
+    assert set().union(*fsa.states) <= {
+        system.word_str(w.reflection.nf) for w in small}
+    for T in system.spherical_subsets():
+        assert set(inversion_walls(system.longest_element(T))) <= small

@@ -477,6 +477,24 @@ def test_finite_parabolic_orders(rank, edges, order):
     assert len(system.parabolic_elements(range(rank))) == order
 
 
+@pytest.mark.parametrize("rank,edges,count", [
+    (2, {}, 2),                       # A1 x A1
+    (2, _path([5]), 2),               # I2(5)
+    (3, _path([3, 3]), 16),           # A3
+    (3, _path([3, 4]), 42),           # B3
+    (4, _path([3, 3, 3]), 768),       # A4
+])
+def test_braid_closure_is_every_reduced_word_of_w0(rank, edges, count):
+    """Braid moves connect all reduced words of an element (Matsumoto),
+    and w0 has the known number of them (Stanley 1984)."""
+    system = _diagram(rank, edges)
+    w0 = system.longest_element(range(rank))
+    words = system.braid_closure(w0.nf)
+    assert len(words) == count
+    assert all(len(u) == w0.length and system.element(u) is w0
+               for u in words)
+
+
 def test_criterion_stays_fast_at_high_rank():
     """Rational rows go first and each step divides out the integer
     content; without either, coefficients double in size at every step

@@ -1,4 +1,5 @@
-"""Walls: reflections, sides, crossing, near-wall sets, residue walls.
+"""Walls: reflections, sides, crossing, small roots, near-wall sets,
+residue walls.
 
 The crossing oracle samples side patterns over a chamber ball; four
 patterns mean crossing.  The sampling radius is chosen large enough that
@@ -11,11 +12,11 @@ import time
 
 import pytest
 
-from coxlang import PreconditionError, parse_system
+from coxlang import CoxeterSystem, PreconditionError, parse_system
 from coxlang import walls as wl
 from conftest import GROUPS
-from oracles import (FAR, NEAR, chamber_next_to, chamber_separates, side,
-                     sign_pattern_cross)
+from oracles import (FAR, NEAR, chamber_next_to, chamber_separates,
+                     nearest_walls, side, sign_pattern_cross)
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -186,22 +187,103 @@ def test_separation_matches_chamber_sides(fname):
     assert time.perf_counter() - start < 5
 
 
-def test_farther_is_kept_per_unordered_pair():
-    """Either order of a pair gives the same wall, and each unordered pair
-    is evaluated once per system."""
+def test_farther_does_not_depend_on_order():
+    """Either order of a pair, in one system or in two, gives the same
+    wall, and both answers occur."""
     text = (GROUPS / "triangle_237.cox").read_text()
     one, two = parse_system(text), parse_system(text)
     roots = sorted({w.root for g in one.ball(4) for w in wl.inversion_walls(g)})
-    pairs = list(itertools.combinations(roots, 2))
     verdicts = set()
-    for a, b in pairs:
+    for a, b in itertools.combinations(roots, 2):
         far = wl._farther(wl.Wall(one, a), wl.Wall(one, b))
         back = wl._farther(wl.Wall(two, b), wl.Wall(two, a))
-        assert wl._farther(wl.Wall(one, b), wl.Wall(one, a)) is far
+        assert wl._farther(wl.Wall(one, b), wl.Wall(one, a)) == far
         assert (far and far.root) == (back and back.root)
         verdicts.add(far is None)
     assert verdicts == {True, False}
-    assert len(one._farther_cache) == len(pairs)
+
+
+def _system(pairs):
+    """A system from its orders other than 2; every other pair commutes."""
+    names = sorted({x for pair in pairs for x in pair})
+    orders = {pair: 2 for pair in itertools.combinations(names, 2)}
+    orders.update(pairs)
+    return CoxeterSystem.from_pairs(names, orders)
+
+
+A4TILDE = {("p", "q"): 3, ("q", "r"): 3, ("r", "s"): 3, ("s", "t"): 3,
+           ("p", "t"): 3}
+GENERATED = {"a4tilde": A4TILDE,
+             "chain345": {("x", "y"): 3, ("y", "z"): 4, ("z", "w"): 5}}
+
+
+@pytest.mark.parametrize("pairs, count", [
+    ({("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 3}, 10),   # A4
+    ({("a", "b"): 3, ("b", "c"): 3, ("c", "d"): 4}, 16),   # B4
+    ({("a", "b"): 5, ("b", "c"): 3}, 15),                  # H3
+], ids=["A4", "B4", "H3"])
+def test_small_roots_of_a_finite_group_are_all_its_roots(pairs, count):
+    system = _system(pairs)
+    w0 = system.longest_element(range(system.n))
+    assert w0.length == count
+    assert wl.small_roots(system) == frozenset(wl.inversion_walls(w0))
+
+
+@pytest.mark.parametrize("pairs, count", [
+    ({("p", "q"): 3, ("q", "r"): 3, ("r", "s"): 3, ("p", "s"): 3}, 12),
+    (A4TILDE, 20),
+    ({("a", "c"): 3, ("b", "c"): 3, ("c", "d"): 4}, 18),   # B~3
+    ({("x", "y"): 4, ("y", "z"): 4}, 8),                   # C~2
+    ({("x", "y"): 3, ("y", "z"): 6}, 12),                  # G~2
+], ids=["A~3", "A~4", "B~3", "C~2", "G~2"])
+def test_small_roots_of_an_affine_group_match_its_finite_root_system(
+        pairs, count):
+    """An affine group has one small root per root of the finite root
+    system (positive and negative), |Phi| in all."""
+    assert len(wl.small_roots(_system(pairs))) == count
+
+
+@pytest.mark.parametrize("fname, count", [
+    ("a3tilde.cox", 12), ("dihedral_inf.cox", 2), ("fig1.cox", 8),
+    ("single.cox", 1), ("triangle_237.cox", 12), ("triangle_245.cox", 9),
+    ("triangle_333.cox", 6)])
+def test_small_root_counts_of_shipped_groups(fname, count):
+    system = parse_system((GROUPS / fname).read_text())
+    small = wl.small_roots(system)
+    assert len(small) == count
+    assert wl.small_roots(system) is small
+
+
+@pytest.mark.parametrize("name, radius", [(fname, 6) for fname in SHIPPED]
+                         + [("a4tilde", 5), ("chain345", 5)])
+def test_pulled_wall_set_is_the_pairwise_nearest_rule(name, radius):
+    """No small root lies between the identity and another, and
+    small-root membership agrees with the pairwise separation filter it
+    replaced, on the inversion walls of g^-1 over a ball."""
+    if name in GENERATED:
+        system = _system(GENERATED[name])
+    else:
+        system = parse_system((GROUPS / name).read_text())
+    small = wl.small_roots(system)
+    for a, b in itertools.combinations(small, 2):
+        assert wl._farther(a, b) is None
+    for g in system.ball(radius):
+        assert wl.pulled_wall_set(g) == nearest_walls(
+            wl.inversion_walls(g.inverse())), g
+
+
+def test_wall_set_and_build_ask_no_pair_question(monkeypatch, fig1, ball):
+    """Wall sets and automaton states are found by small-root membership,
+    with no pairwise separation test."""
+    from coxlang.automaton import build
+    calls = []
+    real = wl._farther
+    monkeypatch.setattr(wl, "_farther",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    for g in ball(fig1, 4):
+        wl.wall_set(g)
+    build(_system(A4TILDE))
+    assert calls == []
 
 
 def test_separation_examples(dinf):
