@@ -232,6 +232,11 @@ def from_json(text: str) -> ResidueFsa:
     return ResidueFsa(names, states, transitions, doc["start"])
 
 
+def _dot_label(text: str) -> str:
+    """A DOT label attribute, with backslash and double quote escaped."""
+    return 'label="' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(fsa: ResidueFsa) -> str:
     names = fsa.generators
     lines = ["digraph standard_language {", "  rankdir=LR;",
@@ -239,12 +244,12 @@ def to_dot(fsa: ResidueFsa) -> str:
              '  __start [shape=none, label=""];',
              f"  __start -> q{fsa.start};"]
     for i, st in enumerate(fsa.states):
-        depth = max((len(w.replace(" ", "")) if all(len(nm) == 1 for nm in names)
-                     else len(w.split())) for w in st) if st else 0
-        lines.append(f'  q{i} [label="{i}: {len(st)} walls, depth {depth}"];')
+        depth = max((len(parse_word(names, w)) for w in st), default=0)
+        label = _dot_label(f"{i}: {len(st)} walls, depth {depth}")
+        lines.append(f"  q{i} [{label}];")
     for tr in fsa.transitions:
         tnames = ",".join(names[t] for t in tr.parabolic)
-        label = f"{{{tnames}}} : {word_str(names, tr.w0_word)}"
-        lines.append(f'  q{tr.source} -> q{tr.target} [label="{label}"];')
+        label = _dot_label(f"{{{tnames}}} : {word_str(names, tr.w0_word)}")
+        lines.append(f"  q{tr.source} -> q{tr.target} [{label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,8 +16,8 @@ import sys
 
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, INF, CoxeterSystem,
                    k_constant, parse_system)
-from .errors import (CoxeterError, InfiniteParabolicError, InvariantViolation,
-                     ParseError, PreconditionError, ResourceLimitError)
+from .errors import (CoxeterError, InvariantViolation, ParseError,
+                     PreconditionError, ResourceLimitError)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -27,9 +27,9 @@ EXIT_RESOURCE = 3
 
 def _load(path: str) -> CoxeterSystem:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(0, f"cannot read group file: {exc}")
     return parse_system(text)
 
@@ -233,12 +233,6 @@ def main(argv=None) -> int:
                 raise PreconditionError(
                     f"--{cap.replace('_', '-')} must be at least 0")
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionError, InfiniteParabolicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

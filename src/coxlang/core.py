@@ -25,7 +25,9 @@ keyed by its matrix.  So what an element memoises serves every caller:
 normal form, descent sets (shared per system), descent data (T, w, Pi),
 canonical word, and generator steps.  `mul_gen(g, s)` stores
 g·s on g and g on g·s, and `gen_mul` likewise on the left, so a repeated
-step is a lookup.  Equality and hashing read the matrix.
+step is a lookup.  `_element` is the only constructor, so two elements of
+one system are equal exactly when they are the same object, and elements
+compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -466,7 +468,7 @@ class CoxeterSystem:
         Each coset x·W_T has a unique shortest element, its gate, so x is
         in g<T> exactly when x and g have the same gate.
         """
-        return self.residue_gate(x, T) == self.residue_gate(g, T)
+        return self.residue_gate(x, T) is self.residue_gate(g, T)
 
     # ----- enumeration ----------------------------------------------------
 
@@ -608,16 +610,8 @@ class Element:
     def inverse(self) -> "Element":
         return self.system._element(self.inv, self.mat)
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.system is other.system and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
-
     def is_identity(self) -> bool:
-        return self.mat == self.system._id_mat
+        return self is self.system._identity
 
     def right_descents(self) -> frozenset[int]:
         """{s : l(gs) < l(g)} = {s : g sends a_s to a negative root}."""

@@ -91,11 +91,11 @@ def ft_pair_divergence(g: Element, g_prime: Element, mode: str, s: int) -> int:
     """
     system = g.system
     if mode == "right":
-        if s in g.right_descents() or g_prime != system.mul_gen(g, s):
+        if s in g.right_descents() or g_prime is not system.mul_gen(g, s):
             raise PreconditionError("need g' = g·s with l(g·s) > l(g)")
         shift = None
     elif mode == "left":
-        if s in g.left_descents() or g_prime != system.gen_mul(s, g):
+        if s in g.left_descents() or g_prime is not system.gen_mul(s, g):
             raise PreconditionError("need g' = s·g with l(s·g) > l(g)")
         shift = s
     else:

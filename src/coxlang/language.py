@@ -73,7 +73,7 @@ def is_in_standard_language(system: CoxeterSystem, word) -> bool:
         if k > pos:
             return False
         # w is an involution, so prefix⁻¹·g == w exactly when prefix == g·w.
-        if prefixes[pos - k] != pi:
+        if prefixes[pos - k] is not pi:
             return False
         pos -= k
     return True

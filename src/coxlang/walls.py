@@ -16,46 +16,41 @@ An inversion wall of g^-1 has no other one between the identity and it
 exactly when its root is small, so wall sets are found by membership in
 the finite set of small roots (see `small_roots`).
 
-Root vectors here are raw coefficient tuples over the system's field, in
-the simple-root basis.  All predicates reduce to exact sign tests of
-integer vectors: root coordinates, and values of the doubled form 2B that
-the system stores (see core).
+A `Wall` is the pair (system, root), so wall sets hash and compare as
+tuples; the system, which defines no equality of its own, compares by
+identity.  Root vectors here are raw coefficient tuples over the system's
+field, in the simple-root basis.  All predicates reduce to exact sign
+tests of integer vectors: root coordinates, and values of the doubled form
+2B that the system stores (see core).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .core import CoxeterSystem, Element
 from .errors import InvariantViolation, PreconditionError
 
 
-class Wall:
-    """A wall, keyed by its canonical positive root."""
+class Wall(NamedTuple):
+    """A wall, keyed by its canonical positive root.  Equality and hashing
+    are the tuple's: the system by identity, then the root."""
 
-    __slots__ = ("system", "root")
-
-    def __init__(self, system: CoxeterSystem, root):
-        self.system = system
-        self.root = root
+    system: CoxeterSystem
+    root: tuple
 
     @property
     def reflection(self) -> Element:
         """The reflection v -> v - 2B(root, v)·root, its own inverse."""
         sysm, root = self.system, self.root
         field = sysm.field
+        dots = [sysm.bform_dot(j, root) for j in range(sysm.n)]
         mat = tuple(
             tuple(field.raw_sub(field.one if i == j else field.zero,
-                                field.raw_mul(ri, sysm.bform_dot(j, root)))
-                  for j in range(sysm.n))
+                                field.raw_mul(ri, d))
+                  for j, d in enumerate(dots))
             for i, ri in enumerate(root))
         return sysm._element(mat, mat)
-
-    def __eq__(self, other):
-        if not isinstance(other, Wall):
-            return NotImplemented
-        return self.system is other.system and self.root == other.root
-
-    def __hash__(self):
-        return hash(self.root)
 
     def __repr__(self):
         return f"Wall({self.system.word_str(self.reflection.nf)})"

@@ -1,6 +1,7 @@
 """Automaton construction, equivalence with membership, serialization."""
 
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,11 @@ from coxlang.walls import inversion_walls, small_roots
 from conftest import GROUPS
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
+
+# A~4: a 5-cycle of order-3 edges, every other pair commuting
+A4TILDE = ("generators p q r s t\n"
+           "m p q 3\nm q r 3\nm r s 3\nm s t 3\nm t p 3\n"
+           "m p r 2\nm p s 2\nm q s 2\nm q t 2\nm r t 2\n")
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +149,29 @@ def test_dot_export_shape(machines):
     assert dot.startswith("digraph")
     assert "doublecircle" in dot
     assert dot.count("->") == report.transition_count + 1
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    machine, _ = build(parse_system('generators a"b c\\d\nm a"b c\\d 3\n'))
+    dot = to_dot(machine)
+    labels = [line.split('label="', 1)[1].rsplit('"];', 1)[0]
+              for line in dot.splitlines() if 'label="' in line]
+    assert len(labels) == dot.count("->") + len(machine.states)
+    for label in labels:
+        # every quote and backslash inside a label is escaped
+        assert not re.search(r'["\\]', re.sub(r'\\["\\]', "", label)), label
+    unescaped = {re.sub(r'\\(.)', r'\1', label) for label in labels}
+    assert '{a"b,c\\d} : a"b c\\d a"b' in unescaped
+    # depths count letters, not characters
+    assert "3: 3 walls, depth 3" in unescaped
+
+
+def test_build_output_does_not_depend_on_the_system_object():
+    """Walls hash with their system, whose hash is its identity, so wall
+    sets iterate in an order that differs between two parses of a group;
+    no output may follow that order."""
+    first, second = parse_system(A4TILDE), parse_system(A4TILDE)
+    assert to_json(build(first)[0]) == to_json(build(second)[0])
 
 
 def test_state_cap(fig1):

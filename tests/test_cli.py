@@ -5,7 +5,12 @@ import time
 
 import pytest
 
+from coxlang import cli
 from coxlang.cli import main
+from coxlang.errors import (CoxeterError, FieldMismatchError,
+                            InfiniteParabolicError, InvariantViolation,
+                            ParseError, PreconditionError, ResourceLimitError,
+                            SystemMismatchError)
 from conftest import GROUPS
 
 FIG1 = str(GROUPS / "fig1.cox")
@@ -273,6 +278,39 @@ def test_parse_error_reports_line(capsys, tmp_path):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "info", "/no/such/file.cox")
     assert code == 2
+
+
+def test_group_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "g.cox"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 0: cannot read group file: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+ERRORS = [
+    (ParseError(3, "bad"), 2, "error: line 3: bad"),
+    (PreconditionError("bad"), 2, "error: bad"),
+    (InfiniteParabolicError("bad"), 2, "error: bad"),
+    (FieldMismatchError("bad"), 2, "error: bad"),
+    (SystemMismatchError("bad"), 2, "error: bad"),
+    (CoxeterError("bad"), 2, "error: bad"),
+    (ResourceLimitError("bad"), 3, "error: bad"),
+    (InvariantViolation("bad"), 1, "internal invariant violated: bad"),
+]
+
+
+@pytest.mark.parametrize("exc, code, message", ERRORS,
+                         ids=[type(exc).__name__ for exc, _, _ in ERRORS])
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, exc, code,
+                                            message):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "info", fail)
+    assert run(capsys, "info", FIG1) == (code, "", message + "\n")
 
 
 def test_usage_errors(capsys):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      InvariantViolation, ParseError, PreconditionError,
                      ResourceLimitError, parse_system)
-from coxlang.core import parse_word
+from coxlang.core import Element, parse_word
 from coxlang.language import canonical_word, language_words
 from coxlang.walls import Wall, inversion_walls
 from conftest import GROUPS
 from oracles import TitsBall, affine_a_ball_sizes, tits_reduce
+
+SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
 
 # ----- parsing --------------------------------------------------------------
@@ -232,8 +234,7 @@ def test_interned_elements_match_matrices_and_rewriting(fig1, a3tilde, h237,
                 if s not in g.left_descents():
                     elements[system.gen_mul(s, g)] = None
         for g in elements:
-            # The intern table is keyed by the matrix, which __eq__ and
-            # __hash__ read.
+            # The intern table is keyed by the matrix.
             assert system._elements[g.mat] is g
             for s in range(system.n):
                 right, left = system.mul_gen(g, s), system.gen_mul(s, g)
@@ -248,6 +249,26 @@ def test_interned_elements_match_matrices_and_rewriting(fig1, a3tilde, h237,
             assert g.nf == min(closure) == tits_reduce(system, g.nf)
             assert g.right_descents() == {u[-1] for u in closure if u}
             assert canonical_word(g) in language_words(g)
+
+
+def test_elements_use_builtin_identity_equality():
+    assert Element.__eq__ is object.__eq__
+    assert Element.__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_every_spelling_of_an_element_is_the_one_object(fname):
+    """Elements compare by identity, which interning makes exact: the
+    normal form, the left-step spelling and the double inverse of g all
+    return g itself."""
+    system = parse_system((GROUPS / fname).read_text())
+    for g in system.ball(6):
+        assert system.element(g.nf) is g
+        left = system.identity
+        for s in reversed(g.nf):
+            left = system.gen_mul(s, left)
+        assert left is g
+        assert g.inverse().inverse() is g
 
 
 def _assert_inverse(system, g, word):

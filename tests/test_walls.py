@@ -36,6 +36,29 @@ def test_wall_from_root_canonicalizes(fig1):
     assert hash(wl.wall_from_root(fig1, neg)) == hash(w)
 
 
+def test_walls_use_builtin_tuple_equality():
+    """A wall is the NamedTuple (system, root); equality and hashing are
+    the tuple's, with no hand-written methods."""
+    assert issubclass(wl.Wall, tuple)
+    assert wl.Wall._fields == ("system", "root")
+    assert wl.Wall.__eq__ is tuple.__eq__
+    assert wl.Wall.__hash__ is tuple.__hash__
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_walls_of_two_parses_of_one_group_are_unequal(fname):
+    """The system takes part in a wall's equality, by identity."""
+    text = (GROUPS / fname).read_text()
+    one, two = parse_system(text), parse_system(text)
+    for s in range(one.n):
+        a, b = wl.wall_of_generator(one, s), wl.wall_of_generator(two, s)
+        assert a.root == b.root
+        assert a != b
+        assert a == wl.wall_of_generator(one, s)
+        assert a.reflection is one.generator(s)
+        assert b.reflection is two.generator(s)
+
+
 def test_conjugate_wall_reflection(fig1, ball):
     for g in ball(fig1, 3):
         for s in range(fig1.n):
