@@ -10,15 +10,35 @@ matrix equality over the exact field.  Normal forms are ShortLex: the
 first letter of nf(g) is the least left descent of g, and stripping it
 recurses.
 
+Layout.  With d the field degree, a vector in the simple-root basis is
+one flat tuple of n·d ints: coordinate i is the block [i·d, (i+1)·d).  A
+matrix is the tuple of its n columns, and column j of g's matrix is the
+root g(a_j); the identity's columns are the unit vectors.  So j is a
+right descent of g exactly when column j is a negative root (Björner &
+Brenti 2005, 4.2), and `root_sign` reads it off one flat vector.
+
 An element carries its matrix.  The matrix of its inverse, which left
 descents read, is formed on first use by replaying the generator steps
 that made the element with the opposite-side kernel, so no matrix is ever
 inverted, and an element whose inverse is never read costs one step.
 Generator matrices differ from the identity only in one row, so one-sided
-multiplication by a generator costs O(n^2) instead of O(n^3).  Every
+multiplication by a generator costs O(n^2) instead of O(n^3).  A right
+step g·s negates column s and adds c_st = 2cos(pi/m_st) times it to each
+neighbour column t, one pass over a flat vector each; every other column
+is the same tuple as in g, shared, which is exact because tuples are
+immutable.  A left step s·g rewrites block s of each column.  Every
 product the library forms is such a generator step: g·u is `mul_word(g,
 nf(u))`, and coset questions compare residue gates instead of forming
 g⁻¹·x.  The dense `_mat_mul` is their test oracle.
+
+Right descents step with the element.  Column t of g·s is g(a_t) +
+c_st·g(a_s) for a neighbour t of s and g(a_t) otherwise, and c_st > 0.  So
+s toggles, a non-neighbour keeps its membership, and so does a neighbour
+on the same side as s, since a positive combination of two roots of one
+sign has that sign.  Only a neighbour on the other side can change.  When
+s is an ascent, that neighbour's fate is read off the <s, t> tail of g
+through steps already taken (see `_tail_descent`), so a ball makes no
+sign test at all; otherwise its column is sign-tested.
 
 Elements are interned: a system hands out one Element per group element,
 keyed by its matrix.  So what an element memoises serves every caller:
@@ -33,6 +53,8 @@ compare and hash by identity.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import add, neg
 
 from .errors import (InfiniteParabolicError, InvariantViolation, ParseError,
                      PreconditionError, ResourceLimitError,
@@ -94,14 +116,18 @@ class CoxeterMatrix:
                 if self.orders[i][j] != INF]
 
 
+@lru_cache
+def _separator(names: tuple[str, ...]) -> str:
+    """How words over these names are joined, decided once per names."""
+    return "" if all(len(nm) == 1 for nm in names) else " "
+
+
 def word_str(names, word: Word) -> str:
     """A word as text: "e" if empty, letters joined by spaces unless all
     generator names are one character long."""
     if not word:
         return "e"
-    if all(len(nm) == 1 for nm in names):
-        return "".join(names[s] for s in word)
-    return " ".join(names[s] for s in word)
+    return _separator(names).join([names[s] for s in word])
 
 
 def parse_word(names, text: str) -> Word:
@@ -155,13 +181,16 @@ class CoxeterSystem:
                   for j in range(n))
             for i in range(n))
 
+        # The identity's columns are the unit vectors; it has no descents.
         zero, fone = field.zero, field.one
-        self._id_mat = tuple(
-            tuple(fone if i == j else zero for j in range(n)) for i in range(n))
+        self._id_mat = tuple(zero * j + fone + zero * (n - 1 - j)
+                             for j in range(n))
         self._elements: dict[tuple, Element] = {}
         self._descent_sets: dict[frozenset, frozenset] = {}
         self._identity = self._element(self._id_mat, self._id_mat)
         self._identity._nf = ()
+        empty = self._descent_sets[frozenset()] = frozenset()
+        self._identity._rdesc = self._identity._ldesc = empty
         self._gens = tuple(self.mul_gen(self._identity, s) for s in range(n))
 
         for s in range(n):
@@ -198,108 +227,148 @@ class CoxeterSystem:
     # ----- matrix kernels ----------------------------------------------
 
     def _gen_rmul(self, mat, s: int):
-        """mat @ sigma_s: negate column s, add multiples of it elsewhere."""
-        nbrs = self._nbrs[s]
-        mul, add = self.field.raw_mul, self.field.raw_add
-        rows = []
-        for row in mat:
-            rs = row[s]
-            if any(rs):
-                new = list(row)
-                new[s] = self.field.raw_neg(rs)
-                for t, c in nbrs:
-                    new[t] = add(row[t], mul(c, rs))
-                rows.append(tuple(new))
-            else:
-                rows.append(row)
-        return tuple(rows)
+        """mat @ sigma_s: negate column s and add c_st times it to each
+        neighbour column t; the other columns are shared."""
+        col = mat[s]
+        cols = list(mat)
+        cols[s] = tuple(map(neg, col))
+        scale = self.field.scale
+        for t, c in self._nbrs[s]:
+            cols[t] = tuple(map(add, mat[t], scale(c, col)))
+        return tuple(cols)
 
     def _gen_lmul(self, s: int, mat):
-        """sigma_s @ mat: row s becomes -row_s + sum of c2 * neighbour rows."""
-        mul, add = self.field.raw_mul, self.field.raw_add
-        new_row = [self.field.raw_neg(x) for x in mat[s]]
-        for t, c in self._nbrs[s]:
-            row_t = mat[t]
-            for j in range(self.n):
-                if any(row_t[j]):
-                    new_row[j] = add(new_row[j], mul(c, row_t[j]))
-        return tuple(tuple(new_row) if i == s else mat[i]
-                     for i in range(self.n))
+        """sigma_s @ mat: block s of each column becomes -block_s plus the
+        sum of c_st times the neighbour blocks."""
+        d, scale = self.field.degree, self.field.scale
+        lo, hi = s * d, s * d + d
+        nbrs = [(t * d, c) for t, c in self._nbrs[s]]
+        out = []
+        for col in mat:
+            block = tuple(map(neg, col[lo:hi]))
+            for k, c in nbrs:
+                block = tuple(map(add, block, scale(c, col[k:k + d])))
+            out.append(col[:lo] + block + col[hi:])
+        return tuple(out)
 
     def _mat_mul(self, a, b):
-        n = self.n
+        """a @ b entry by entry: entry (i, j) is block i of column j."""
+        n, d = self.n, self.field.degree
         mul, add = self.field.raw_mul, self.field.raw_add
         zero = self.field.zero
         out = []
-        for i in range(n):
-            arow = a[i]
-            row = []
-            for j in range(n):
+        for bcol in b:
+            col = ()
+            for i in range(n):
                 acc = zero
                 for k in range(n):
-                    x = arow[k]
+                    x = a[k][i * d:i * d + d]
                     if any(x):
-                        y = b[k][j]
+                        y = bcol[k * d:k * d + d]
                         if any(y):
                             acc = add(acc, mul(x, y))
-                row.append(acc)
-            out.append(tuple(row))
+                col += acc
+            out.append(col)
         return tuple(out)
 
     def apply(self, mat, vec):
-        """mat @ vec for a raw coefficient vector."""
-        mul, add = self.field.raw_mul, self.field.raw_add
-        zero = self.field.zero
-        out = []
-        for row in mat:
-            acc = zero
-            for x, v in zip(row, vec):
-                if any(x) and any(v):
-                    acc = add(acc, mul(x, v))
-            out.append(acc)
-        return tuple(out)
+        """mat @ vec for a flat vector: the sum of vec_k times column k."""
+        d, scale = self.field.degree, self.field.scale
+        out = (0,) * len(vec)
+        for k, col in enumerate(mat):
+            x = vec[k * d:k * d + d]
+            if any(x):
+                out = tuple(map(add, out, scale(x, col)))
+        return out
 
     def bform_dot(self, s: int, vec):
         """2B(a_s, vec), twice the bilinear form, as a raw value."""
+        d = self.field.degree
         mul, add = self.field.raw_mul, self.field.raw_add
         acc = self.field.zero
-        for x, v in zip(self._bform[s], vec):
+        for t, x in enumerate(self._bform[s]):
+            v = vec[t * d:t * d + d]
             if any(x) and any(v):
                 acc = add(acc, mul(x, v))
         return acc
 
     def bilinear(self, u, v):
         """2B(u, v), twice the bilinear form, as a raw value."""
+        d = self.field.degree
         mul, add = self.field.raw_mul, self.field.raw_add
         acc = self.field.zero
-        for i, ui in enumerate(u):
+        for i in range(self.n):
+            ui = u[i * d:i * d + d]
             if any(ui):
                 acc = add(acc, mul(ui, self.bform_dot(i, v)))
         # B rows are symmetric, so folding through bform_dot is exact.
         return acc
 
     def root_sign(self, vec) -> int:
-        """+1 for a positive root, -1 for a negative one; mixed signs are a bug."""
-        sign = self.field.raw_sign
-        pos = neg = False
-        for x in vec:
-            s = sign(x)
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-        if pos and neg:
+        """+1 for a positive root, -1 for a negative one, from its flat
+        vector; mixed signs or a zero vector are a bug."""
+        field = self.field
+        d = field.degree
+        if d == 1:
+            pos, negative = max(vec) > 0, min(vec) < 0
+        else:
+            sign = field.raw_sign
+            signs = {sign(vec[i:i + d]) for i in range(0, len(vec), d)}
+            pos, negative = 1 in signs, -1 in signs
+        if pos and negative:
             raise InvariantViolation("root vector has mixed coordinate signs")
-        if not (pos or neg):
+        if not (pos or negative):
             raise InvariantViolation("root vector is zero")
         return 1 if pos else -1
 
     def _descents(self, mat) -> frozenset:
         """The s whose column of mat is a negative root, as a frozenset
         shared by every element with these descents."""
-        fs = frozenset(s for s in range(self.n)
-                       if self.root_sign(tuple(row[s] for row in mat)) < 0)
+        fs = frozenset(s for s, col in enumerate(mat)
+                       if self.root_sign(col) < 0)
         return self._descent_sets.setdefault(fs, fs)
+
+    def _stepped_descents(self, g: "Element", mat, s: int) -> frozenset:
+        """The right descents of h = g·s, whose matrix is `mat`, from those
+        of g: s toggles, and only a neighbour t of s on the other side of
+        it can change.  Such a t is read off the dihedral tail of g when
+        its steps are known, and otherwise sign-tested."""
+        desc = g._rdesc
+        s_in = s in desc
+        flip = [s]
+        for t, _ in self._nbrs[s]:
+            t_in = t in desc
+            if t_in == s_in:
+                continue
+            now = self._tail_descent(g, s, t) if t_in else None
+            if now is None:
+                now = self.root_sign(mat[t]) < 0
+            if now != t_in:
+                flip.append(t)
+        fs = desc.symmetric_difference(flip)
+        return self._descent_sets.setdefault(fs, fs)
+
+    def _tail_descent(self, g: "Element", s: int, t: int):
+        """For s not in D_R(g) and t in it: whether t is in D_R(g·s), or
+        None if a step it needs was never taken.
+
+        Write g = g'·w with g' shortest in g<s, t>.  Then w alternates and
+        ends in t, and t is a descent of w·s exactly when w·s is the
+        longest element of <s, t>, that is, when w has length m_st - 1.
+        So the walk down g·t, g·t·s, ... checks that the tail is that long.
+        """
+        m = self.matrix.orders[s][t]
+        if m == INF:
+            return False
+        x, u = g, t
+        for _ in range(m - 2):
+            x = x._steps[u]
+            if x is None or x._rdesc is None:
+                return None
+            u = s if u == t else t
+            if u not in x._rdesc:
+                return False
+        return True
 
     # ----- words ---------------------------------------------------------
 
@@ -349,13 +418,18 @@ class CoxeterSystem:
         return g
 
     def mul_gen(self, g: "Element", s: int) -> "Element":
-        """g * s: the O(n^2) kernel once, kept on g, and g kept on g·s."""
+        """g * s: the O(n^2) kernel once, kept on g, and g kept on g·s.
+        If g's right descents are known, those of g·s are stepped from
+        them."""
         if not 0 <= s < self.n:
             raise PreconditionError(f"letter {s} out of range")
         h = g._steps[s]
         if h is None:
-            h = g._steps[s] = self._element(self._gen_rmul(g.mat, s), slot=s)
+            mat = self._gen_rmul(g.mat, s)
+            h = g._steps[s] = self._element(mat, slot=s)
             h._steps[s] = g
+            if h._rdesc is None and g._rdesc is not None:
+                h._rdesc = self._stepped_descents(g, mat, s)
         return h
 
     def gen_mul(self, s: int, g: "Element") -> "Element":
@@ -490,27 +564,27 @@ class CoxeterSystem:
         level = 0
         while current and (radius is None or level < radius):
             level += 1
-            candidates = []
+            # `current` is in ShortLex order and the letters ascend, so the
+            # words nf(g) + (s,) arrive in lex order, and the first one to
+            # reach an element is its normal form.  An element that has one
+            # is taken only on the arrival by the last letter of it, which
+            # comes from el·s, whose normal form is the rest.
+            nxt = []
             for g in current:
                 rd = g.right_descents()
                 for s in gens:
-                    if s not in rd:
-                        candidates.append((g.nf + (s,), g, s))
-            candidates.sort(key=lambda c: c[0])
-            nxt = []
-            for word, g, s in candidates:
-                el = self.mul_gen(g, s)
-                # The least of the candidate words for el is its normal
-                # form; every other one is a repeat.
-                if el._nf is None:
-                    el._nf = word
-                elif el._nf != word:
-                    continue
-                nxt.append(el)
-                out.append(el)
-                if len(out) > max_elements:
-                    raise ResourceLimitError(
-                        f"element enumeration exceeded cap {max_elements}")
+                    if s in rd:
+                        continue
+                    el = self.mul_gen(g, s)
+                    if el._nf is None:
+                        el._nf = g.nf + (s,)
+                    elif el._nf[-1] != s:
+                        continue
+                    nxt.append(el)
+                    out.append(el)
+                    if len(out) > max_elements:
+                        raise ResourceLimitError(
+                            f"element enumeration exceeded cap {max_elements}")
             current = nxt
         return out
 

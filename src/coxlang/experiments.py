@@ -18,8 +18,7 @@ from typing import NamedTuple
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
                    Word, k_constant)
 from .errors import PreconditionError
-from .language import (_finite_pairs, canonical_word, check_prop_main,
-                       language_words)
+from .language import _finite_pairs, _witness, canonical_word, language_words
 
 Witness = tuple[Word, int]
 
@@ -73,13 +72,21 @@ def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
             if a != b:
                 break
             start += 1
-    best = 0
-    for i in range(start, max(len(v), len(vp))):
-        if i < len(v):
-            d = system.gen_mul(v[i], d)
-        if i < len(vp):
-            d = system.mul_gen(d, vp[i])
-        best = max(best, d.length)
+    # A step already taken is read from its slot; s·d sits at n + s.  Past
+    # the shorter word only the longer one steps.
+    n, best = system.n, 0
+    for a, b in zip(v[start:], vp[start:]):
+        d = d._steps[n + a] or system.gen_mul(a, d)
+        d = d._steps[b] or system.mul_gen(d, b)
+        length = len(d._nf or d.nf)
+        if length > best:
+            best = length
+    for a in v[len(vp):]:
+        d = d._steps[n + a] or system.gen_mul(a, d)
+        best = max(best, len(d._nf or d.nf))
+    for b in vp[len(v):]:
+        d = d._steps[b] or system.mul_gen(d, b)
+        best = max(best, len(d._nf or d.nf))
     return best
 
 
@@ -124,17 +131,21 @@ def _ascent_values(system, ball, sides, words, max_words) -> dict:
                        for vp in language_words(gp, max_words))
     else:
         def value(g, gp, shift):
-            return _pair_value(system, canonical_word(g), canonical_word(gp),
-                               shift)
+            return _pair_value(system, g._canonical or canonical_word(g),
+                               gp._canonical or canonical_word(gp), shift)
+    n = system.n
     out = {}
     for side in sides:
         right = side == "right"
         entries = out[side] = []
         for g in ball:
             desc = g.right_descents() if right else g.left_descents()
-            for s in range(system.n):
+            for s in range(n):
                 if s not in desc:
-                    gp = system.mul_gen(g, s) if right else system.gen_mul(s, g)
+                    if right:
+                        gp = g._steps[s] or system.mul_gen(g, s)
+                    else:
+                        gp = g._steps[n + s] or system.gen_mul(s, g)
                     val = value(g, gp, None if right else s)
                     entries.append((g.length, val, (g.nf, s)))
     return out
@@ -205,6 +216,10 @@ def prop_main_scan(system: CoxeterSystem, radius: int,
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     pairs = _finite_pairs(system)
+    # The residues are built so that check_prop_main's preconditions hold,
+    # so the scan asks `_witness` directly; each pair's words are listed once.
+    words = {(s, t): [u.nf for u in system.parabolic_elements({s, t})]
+             for s, t in pairs}
     seen = set()
     failures = []
     residues = 0
@@ -217,14 +232,13 @@ def prop_main_scan(system: CoxeterSystem, radius: int,
                 continue
             seen.add(key)
             residues += 1
-            members = [system.mul_word(gate, u.nf)
-                       for u in system.parabolic_elements({s, t})]
+            members = [system.mul_word(gate, u) for u in words[s, t]]
             for g1 in members:
                 if g1.length > radius:
                     continue
                 for g2 in members:
                     checks += 1
-                    if check_prop_main(g1, g2, s, t) is None:
+                    if _witness(g1, g2, pairs) is None:
                         failures.append((g1.nf, g2.nf, s, t))
     return PropMainReport(radius, residues, checks, tuple(failures))
 

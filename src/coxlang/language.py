@@ -175,9 +175,15 @@ def check_prop_main(g: Element, g_prime: Element, s: int, t: int):
         raise PreconditionError("the pair (s, t) must span a finite parabolic")
     if not system.in_residue(g_prime, g, {s, t}):
         raise PreconditionError("g' must lie in the residue g<s, t>")
+    return _witness(g, g_prime, _finite_pairs(system))
+
+
+def _witness(g: Element, g_prime: Element, pairs):
+    """`check_prop_main` without its precondition checks, over the given
+    spherical pairs."""
+    system = g.system
     chain_g = _pi_chain(g, 3)
     chain_gp = _pi_chain(g_prime, 3)
-    pairs = _finite_pairs(system)
     for total in range(1, 7):
         for k in range(min(3, total), -1, -1):
             kp = total - k

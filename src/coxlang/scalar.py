@@ -21,13 +21,16 @@ nonzero value.  The interval for theta is dyadic, held as integers
 it, and never in a decision.
 
 A field element is a plain tuple of ints (a "raw" vector): every library
-value is an integer vector.
+value is an integer vector.  A vector over the field, such as a root, is
+one flat tuple of blocks of `degree` ints, one block per coordinate (see
+core); `scale` multiplies such a vector by a field element in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from operator import add, mul, neg, sub
 
 from .errors import FieldMismatchError, InvariantViolation, ResourceLimitError
@@ -229,6 +232,21 @@ class CycloField:
                     ri = row[i]
                     if ri:
                         out[i] += ck * ri
+        return tuple(out)
+
+    def scale(self, c: Raw, vec: tuple) -> tuple:
+        """c·vec for a flat vector: each block of `degree` ints is one
+        coordinate, multiplied by c.  One is the identity, and over Q the
+        product is one pass over the ints."""
+        if c == self.one:
+            return vec
+        d = self.degree
+        if d == 1:
+            return tuple(map(mul, repeat(c[0]), vec))
+        zero, out = self.zero, []
+        for i in range(0, len(vec), d):
+            block = vec[i:i + d]
+            out += self.raw_mul(c, block) if any(block) else zero
         return tuple(out)
 
     def raw_pk(self, k: int) -> Raw:

@@ -18,14 +18,17 @@ the finite set of small roots (see `small_roots`).
 
 A `Wall` is the pair (system, root), so wall sets hash and compare as
 tuples; the system, which defines no equality of its own, compares by
-identity.  Root vectors here are raw coefficient tuples over the system's
-field, in the simple-root basis.  All predicates reduce to exact sign
-tests of integer vectors: root coordinates, and values of the doubled form
-2B that the system stores (see core).
+identity.  Root vectors here are flat integer vectors in the simple-root
+basis, laid out as core lays out matrix columns: the generator root is a
+column of the identity, an inversion root a column of a prefix matrix,
+and negation and difference are elementwise.  All predicates reduce to
+exact sign tests of integer vectors: root coordinates, and values of the
+doubled form 2B that the system stores (see core).
 """
 
 from __future__ import annotations
 
+from operator import neg, sub
 from typing import NamedTuple
 
 from .core import CoxeterSystem, Element
@@ -41,15 +44,12 @@ class Wall(NamedTuple):
 
     @property
     def reflection(self) -> Element:
-        """The reflection v -> v - 2B(root, v)·root, its own inverse."""
+        """The reflection v -> v - 2B(root, v)·root, its own inverse:
+        column j is a_j - 2B(root, a_j)·root."""
         sysm, root = self.system, self.root
-        field = sysm.field
-        dots = [sysm.bform_dot(j, root) for j in range(sysm.n)]
-        mat = tuple(
-            tuple(field.raw_sub(field.one if i == j else field.zero,
-                                field.raw_mul(ri, d))
-                  for j, d in enumerate(dots))
-            for i, ri in enumerate(root))
+        scale = sysm.field.scale
+        mat = tuple(tuple(map(sub, e, scale(sysm.bform_dot(j, root), root)))
+                    for j, e in enumerate(sysm._id_mat))
         return sysm._element(mat, mat)
 
     def __repr__(self):
@@ -59,13 +59,12 @@ class Wall(NamedTuple):
 def wall_from_root(system: CoxeterSystem, root) -> Wall:
     """Wrap a root vector as a Wall, flipping a negative root to positive."""
     if system.root_sign(root) < 0:
-        root = tuple(system.field.raw_neg(x) for x in root)
+        root = tuple(map(neg, root))
     return Wall(system, root)
 
 
 def wall_of_generator(system: CoxeterSystem, s: int) -> Wall:
-    zero, one = system.field.zero, system.field.one
-    return Wall(system, tuple(one if i == s else zero for i in range(system.n)))
+    return Wall(system, system._id_mat[s])
 
 
 def conjugate_wall(g: Element, wall: Wall) -> Wall:
@@ -83,7 +82,7 @@ def inversion_walls(g: Element) -> list[Wall]:
     walls = []
     prefix = sysm.identity
     for s in g.nf:
-        root = tuple(prefix.mat[i][s] for i in range(sysm.n))
+        root = prefix.mat[s]
         if sysm.root_sign(root) < 0:
             raise InvariantViolation("inversion root came out negative")
         walls.append(Wall(sysm, root))
@@ -120,7 +119,7 @@ def _farther(a: Wall, b: Wall) -> Wall | None:
     if field.raw_sign(field.raw_sub(sysm.bilinear(a.root, b.root),
                                     field.two)) < 0:
         return None
-    diff = tuple(field.raw_sub(x, y) for x, y in zip(b.root, a.root))
+    diff = tuple(map(sub, b.root, a.root))
     return b if sysm.root_sign(diff) > 0 else a
 
 
@@ -150,9 +149,8 @@ def small_roots(system: CoxeterSystem) -> frozenset[Wall]:
                 val = system.bform_dot(t, wall.root)
                 if (field.raw_sign(val) < 0 and
                         field.raw_sign(field.raw_add(val, field.two)) > 0):
-                    root = list(wall.root)  # s_t changes coordinate t only
-                    root[t] = field.raw_sub(root[t], val)
-                    image = Wall(system, tuple(root))
+                    image = Wall(system, system.apply(
+                        system.generator(t).mat, wall.root))
                     if image not in seen:
                         seen.add(image)
                         found.append(image)

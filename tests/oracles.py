@@ -63,6 +63,56 @@ def tits_reduce(system, word, max_letters=DEFAULT_ORACLE_LETTERS):
         w = shorter
 
 
+def _generator_rows(system, s):
+    """sigma_s row by row, from the order table alone:
+    sigma_s(a_t) = a_t - 2B(a_s, a_t)·a_s, with 2B(a_s, a_t) = -2cos(pi/m_st)
+    and 2B(a_s, a_s) = 2."""
+    field, n = system.field, system.n
+    orders = system.matrix.orders
+
+    def entry(i, t):
+        unit = field.one if i == t else field.zero
+        if i != s:
+            return unit
+        two_b = field.two if t == s else field.raw_neg(
+            field.two_cos_raw(orders[s][t]))
+        return field.raw_sub(unit, two_b)
+    return [[entry(i, t) for t in range(n)] for i in range(n)]
+
+
+def _row_product(field, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = field.zero
+            for k in range(n):
+                acc = field.raw_add(acc, field.raw_mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def layout_matrices(system, word):
+    """(mat, inv) of the element of `word` in the library's layout: the
+    tuple of columns, each one flat tuple of the column's field values.
+    Formed as row-major products of generator matrices, then converted."""
+    field, n = system.field, system.n
+    ident = [[field.one if i == j else field.zero for j in range(n)]
+             for i in range(n)]
+    mat, inv = ident, ident
+    for s in word:
+        gen = _generator_rows(system, s)
+        mat = _row_product(field, mat, gen)
+        inv = _row_product(field, gen, inv)
+
+    def columns(m):
+        return tuple(tuple(c for i in range(n) for c in m[i][j])
+                     for j in range(n))
+    return columns(mat), columns(inv)
+
+
 def side(wall, g):
     """NEAR iff g's chamber is on the identity side of the wall."""
     pulled = wall.system.apply(g.inv, wall.root)

@@ -15,7 +15,8 @@ from coxlang.core import Element, parse_word
 from coxlang.language import canonical_word, language_words
 from coxlang.walls import Wall, inversion_walls
 from conftest import GROUPS
-from oracles import TitsBall, affine_a_ball_sizes, tits_reduce
+from oracles import (TitsBall, affine_a_ball_sizes, layout_matrices,
+                     tits_reduce)
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -249,6 +250,63 @@ def test_interned_elements_match_matrices_and_rewriting(fig1, a3tilde, h237,
             assert g.nf == min(closure) == tits_reduce(system, g.nf)
             assert g.right_descents() == {u[-1] for u in closure if u}
             assert canonical_word(g) in language_words(g)
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_matrices_match_row_major_generator_products(fname):
+    """Each matrix is the tuple of its columns, each a flat vector: the same
+    as products of generator matrices built from the order table.  The
+    shipped groups cover field degrees 1, 2, 8 and 12."""
+    system = parse_system((GROUPS / fname).read_text())
+    for g in system.ball(5):
+        assert (g.mat, g.inv) == layout_matrices(system, g.nf)
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_stepped_descents_match_column_signs(fname):
+    """Right descents stepped from g to g·s equal the full column-sign
+    test, for elements made by mixed left and right steps.  The ball is
+    walked longest first, so some steps the dihedral tail needs are not
+    yet taken and the sign test runs too."""
+    system = parse_system((GROUPS / fname).read_text())
+    for g in reversed(system.ball(5 if fname == "a3tilde.cox" else 6)):
+        for s in range(system.n):
+            left = system.gen_mul(s, g)
+            left.right_descents()
+            for t in range(system.n):
+                assert system.mul_gen(left, t)._rdesc is not None
+    for el in system._elements.values():
+        if el._rdesc is not None:
+            assert el._rdesc == system._descents(el.mat)
+
+
+def test_ball_makes_at_most_one_sign_test_per_new_element(monkeypatch):
+    """Descents carried from step to step, not a sign test per column."""
+    system = parse_system((GROUPS / "a3tilde.cox").read_text())
+    before = len(system._elements)
+    calls = []
+    real = system.root_sign
+    monkeypatch.setattr(system, "root_sign",
+                        lambda vec: calls.append(vec) or real(vec))
+    system.ball(10)
+    assert len(calls) <= len(system._elements) - before
+
+
+@pytest.mark.parametrize("fname,degree", [("a3tilde.cox", 1),
+                                          ("triangle_237.cox", 12)])
+def test_root_sign_reads_flat_vectors_and_rejects_non_roots(fname, degree):
+    system = parse_system((GROUPS / fname).read_text())
+    field = system.field
+    assert field.degree == degree
+    zero, one = field.zero, field.one
+    minus = field.raw_neg(one)
+    rest = zero * (system.n - 2)
+    assert system.root_sign(one + field.two + rest) == 1
+    assert system.root_sign(zero + minus + rest) == -1
+    with pytest.raises(InvariantViolation, match="mixed"):
+        system.root_sign(one + minus + rest)
+    with pytest.raises(InvariantViolation, match="zero"):
+        system.root_sign(zero * system.n)
 
 
 def test_elements_use_builtin_identity_equality():

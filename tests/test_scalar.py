@@ -282,6 +282,23 @@ def test_chebyshev_recurrence_against_floats():
             assert abs(val - want) < mpmath.mpf(10) ** -40
 
 
+@pytest.mark.parametrize("n", [1, 4, 42])
+def test_scale_multiplies_each_block(n):
+    """c·vec on a flat vector equals raw_mul block by block."""
+    field = _field(n)
+    d = field.degree
+    blocks = [field.theta, field.zero, field.raw_from_rational(-3),
+              field.raw_add(field.one, field.theta)]
+    vec = tuple(c for b in blocks for c in b)
+    for c in (field.one, field.two, field.theta, field.zero,
+              field.raw_neg(field.theta),
+              field.raw_add(field.one, field.theta)):
+        want = tuple(x for b in blocks for x in field.raw_mul(c, b))
+        assert field.scale(c, vec) == want
+    assert len(vec) == 4 * d
+    assert field.scale(field.one, vec) is vec
+
+
 def test_field_mismatch_between_fields():
     a = Scalar.theta(_field(4))
     b = Scalar.theta(_field(5))
