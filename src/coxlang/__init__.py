@@ -22,7 +22,8 @@ _NAMES = {
                     "ft_scan", "prop_main_scan"),
     "language": ("Chunk", "canonical_word", "check_append_lemma",
                  "check_prop_main", "chunk_decomposition", "descent_data",
-                 "is_in_standard_language", "language_words"),
+                 "is_in_standard_language", "language_words",
+                 "reduced_words"),
     "walls": ("Wall", "conjugate_wall", "inversion_walls", "residue_walls",
               "separates_vertex_from_wall", "wall_from_root",
               "wall_of_generator", "wall_set", "walls_cross"),

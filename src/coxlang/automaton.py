@@ -3,11 +3,12 @@
 States are finite wall sets pulled back to the identity: reading a prefix
 of a language word leaves the machine in the state g^-1·W(g), where g is
 the element spelled so far, and each such wall is a small root.  A
-transition consumes one whole chunk (any reduced word of the longest
-element of a finite parabolic T) and is allowed precisely when no
-generator wall of T, and no far-side image of an outside generator wall,
-is blocked by the current set.  All states accept; the start state is
-the empty set.
+transition consumes one whole chunk: any reduced word of the longest
+element of a finite parabolic T, which is any maximal chain of the weak
+order of W_T read from the identity (`reduced_words`).  It is allowed
+precisely when no generator wall of T, and no far-side image of an
+outside generator wall, is blocked by the current set.  All states
+accept; the start state is the empty set.
 
 The state space is discovered by breadth-first closure rather than given a
 priori, so construction needs no global constants, and a scan against the
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
-from .language import is_in_standard_language
+from .language import is_in_standard_language, reduced_words
 from .walls import (Wall, conjugate_wall, inversion_walls, pulled_wall_set,
                     small_roots, wall_of_generator)
 
@@ -90,7 +91,7 @@ def build(system: CoxeterSystem,
         images = {a: conjugate_wall(w0, a) for a in small}
         blocked = {images[wall_of_generator(system, t)] for t in range(system.n)}
         images = {a: b for a, b in images.items() if b in small}
-        labels = tuple(sorted(system.braid_closure(w0.nf)))
+        labels = reduced_words(system, T)
         chunk[T] = (w0, blocked, labels, frozenset(inversion_walls(w0)), images)
 
     start: frozenset[Wall] = frozenset()

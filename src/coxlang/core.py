@@ -65,7 +65,6 @@ Word = tuple[int, ...]
 
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_WORD_CAP = 100_000
-DEFAULT_CLOSURE_CAP = 200_000
 
 
 class CoxeterMatrix:
@@ -199,14 +198,9 @@ class CoxeterSystem:
                 raise InvariantViolation("generator matrix is not an involution")
 
         self._index = {name: i for i, name in enumerate(matrix.names)}
-        # (a, b) -> the alternating word a b a ... of length m_ab, finite m.
-        self._braids = {
-            (a, b): tuple((a, b)[k % 2] for k in range(matrix.orders[a][b]))
-            for a in range(n) for b in range(n)
-            if a != b and matrix.orders[a][b] != INF}
         self._w0_cache: dict[frozenset, Element] = {}
         self._finite_cache: dict[frozenset, bool] = {}
-        self._closure_cache: dict[Word, tuple[Word, ...]] = {}
+        self._reduced_words: dict[frozenset, tuple[Word, ...]] = {}
         self._small_roots: frozenset | None = None
         self._spherical: tuple[tuple[int, ...], ...] | None = None
 
@@ -587,32 +581,6 @@ class CoxeterSystem:
                             f"element enumeration exceeded cap {max_elements}")
             current = nxt
         return out
-
-    # ----- braid moves -----------------------------------------------------
-
-    def braid_closure(self, word, max_words: int = DEFAULT_CLOSURE_CAP) -> frozenset:
-        """All words reachable from `word` by braid moves alone."""
-        w0 = tuple(word)
-        cached = self._closure_cache.get(w0)
-        if cached is not None:
-            return frozenset(cached)
-        braids = self._braids
-        seen = {w0}
-        queue = [w0]
-        while queue:
-            u = queue.pop()
-            for i in range(len(u) - 1):
-                alt = braids.get(u[i:i + 2])
-                if alt is not None and u[i:i + len(alt)] == alt:
-                    v = u[:i] + braids[alt[1], alt[0]] + u[i + len(alt):]
-                    if v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-                        if len(seen) > max_words:
-                            raise ResourceLimitError("braid closure exceeded cap")
-        if len(w0) <= 12:
-            self._closure_cache[w0] = tuple(seen)
-        return frozenset(seen)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({', '.join(self.matrix.names)})"

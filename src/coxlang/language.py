@@ -97,27 +97,50 @@ def canonical_word(g: Element) -> Word:
     return word
 
 
+MAX_REDUCED_WORDS = 200_000
+
+
+def reduced_words(system: CoxeterSystem, T) -> tuple[Word, ...]:
+    """Every reduced word of w0(T), sorted; kept on the system per T.
+
+    They are the maximal chains from the identity in the weak order of
+    W_T (Björner & Brenti 2005, Ch. 3), walked one letter per level with
+    the ascents in increasing order, so each level is in lex order.  Every
+    prefix extends to a word, so a level over MAX_REDUCED_WORDS raises.
+    """
+    T = frozenset(T)
+    words = system._reduced_words.get(T)
+    if words is None:
+        ts, level = sorted(T), [((), system.identity)]
+        for _ in range(system.longest_element(T).length):
+            level = [(word + (t,), system.mul_gen(u, t)) for word, u in level
+                     for t in ts if t not in u.right_descents()]
+            if len(level) > MAX_REDUCED_WORDS:
+                names = ",".join(system.matrix.names[t] for t in ts)
+                raise ResourceLimitError(f"w0({{{names}}}) has more than "
+                                         f"{MAX_REDUCED_WORDS} reduced words")
+        words = system._reduced_words[T] = tuple(word for word, _ in level)
+    return words
+
+
 def language_words(g: Element, max_words: int = DEFAULT_WORD_CAP) -> tuple[Word, ...]:
     """All standard-language words for g, sorted.
 
-    Per chunk, the reduced words of w_i are its braid closure (reduced
-    words of one element are connected by braid moves alone); the language
-    words are all concatenations of one choice per chunk.
+    The language words are all concatenations of one reduced word of each
+    chunk's w0, read from `reduced_words`.  The words of one w0 have equal
+    length, so the product of the sorted tables is already sorted.
     """
-    system = g.system
     chunk_words = []
     total = 1
     for c in reversed(chunk_decomposition(g)):
-        words = sorted(system.braid_closure(c.longest.nf))
+        words = reduced_words(g.system, c.parabolic)
         chunk_words.append(words)
         total *= len(words)
         if total > max_words:
             raise ResourceLimitError(
                 f"language word count exceeds cap {max_words}")
-    out = [tuple(itertools.chain.from_iterable(combo))
-           for combo in itertools.product(*chunk_words)]
-    out.sort()
-    return tuple(out)
+    return tuple(tuple(itertools.chain.from_iterable(combo))
+                 for combo in itertools.product(*chunk_words))
 
 
 def check_append_lemma(g: Element, T) -> tuple[bool, bool]:

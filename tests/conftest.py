@@ -1,9 +1,10 @@
+import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from coxlang import parse_system
+from coxlang import CoxeterSystem, parse_system
 
 settings.register_profile(
     "exact", deadline=None,
@@ -45,6 +46,20 @@ def dinf():
 @pytest.fixture(scope="session")
 def single():
     return _system("single.cox")
+
+
+def diagram(rank, edges):
+    """A system from a Coxeter diagram: edges {(i, j): m}, other pairs
+    commute (order 2)."""
+    names = tuple(f"g{i}" for i in range(rank))
+    return CoxeterSystem.from_pairs(
+        names, {(names[i], names[j]): edges.get((i, j), 2)
+                for i, j in itertools.combinations(range(rank), 2)})
+
+
+def path_edges(labels):
+    """Edges of a path whose k-th edge has order labels[k]."""
+    return {(k, k + 1): m for k, m in enumerate(labels)}
 
 
 _BALLS: dict = {}

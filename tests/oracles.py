@@ -9,11 +9,13 @@ lengths (`tits_reduce`), chamber sides, and the `Scalar` wrapper over raw
 field vectors live here.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from coxlang import walls as wl
+from coxlang.core import INF
 from coxlang.errors import (FieldMismatchError, PreconditionError,
                             ResourceLimitError)
 from coxlang.language import descent_data
@@ -29,6 +31,44 @@ def _first_repeat(w):
         if w[i] == w[i + 1]:
             return i
     return None
+
+
+def braid_closure(system, word):
+    """All words reachable from `word` by braid moves alone.
+
+    For a reduced word these are every reduced word of its element
+    (Matsumoto's theorem).  The braid moves are read from the order table
+    alone, so the closure never consults the linear representation.
+    """
+    return _braid_closure(system.matrix.orders, tuple(word))
+
+
+@functools.lru_cache(maxsize=None)
+def _braids(orders):
+    """(a, b) -> the alternating word a b a ... of length m_ab, finite m."""
+    n = len(orders)
+    return {(a, b): tuple((a, b)[k % 2] for k in range(orders[a][b]))
+            for a in range(n) for b in range(n)
+            if a != b and orders[a][b] != INF}
+
+
+# TitsBall and the ball checks ask for the same closures many times; the
+# bound keeps a session from holding every closure it ever formed.
+@functools.lru_cache(maxsize=4096)
+def _braid_closure(orders, word):
+    braids = _braids(orders)
+    seen = {word}
+    queue = [word]
+    while queue:
+        u = queue.pop()
+        for i in range(len(u) - 1):
+            alt = braids.get(u[i:i + 2])
+            if alt is not None and u[i:i + len(alt)] == alt:
+                v = u[:i] + braids[alt[1], alt[0]] + u[i + len(alt):]
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    return frozenset(seen)
 
 
 def tits_reduce(system, word, max_letters=DEFAULT_ORACLE_LETTERS):
@@ -51,7 +91,7 @@ def tits_reduce(system, word, max_letters=DEFAULT_ORACLE_LETTERS):
         if i is not None:
             w = w[:i] + w[i + 2:]
             continue
-        closure = system.braid_closure(w)
+        closure = braid_closure(system, w)
         shorter = None
         for u in sorted(closure):
             j = _first_repeat(u)
@@ -236,7 +276,7 @@ class TitsBall:
     def __init__(self, system, max_len):
         self.system = system
         self.max_len = max_len
-        start = system.braid_closure(())
+        start = braid_closure(system, ())
         self.level = {start: 0}
         self.trans = {}
         frontier = [start]
@@ -245,7 +285,7 @@ class TitsBall:
             for node in frontier:
                 rep = min(node)
                 for s in range(system.n):
-                    cand = system.braid_closure(rep + (s,))
+                    cand = braid_closure(system, rep + (s,))
                     if any(self._has_repeat(w) for w in cand):
                         down = self._delete_repeat(cand)
                         self.trans[(node, s)] = (down, -1)
@@ -265,7 +305,7 @@ class TitsBall:
         for w in sorted(closure):
             for i in range(len(w) - 1):
                 if w[i] == w[i + 1]:
-                    return self.system.braid_closure(w[:i] + w[i + 2:])
+                    return braid_closure(self.system, w[:i] + w[i + 2:])
         raise AssertionError("no adjacent repeat in a non-reduced closure")
 
     def word_length(self, word):

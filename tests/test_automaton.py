@@ -10,7 +10,8 @@ from coxlang import (ParseError, ResourceLimitError, accepts, build,
                      parse_system, to_dot, to_json)
 from coxlang.automaton import wall_state_key
 from coxlang.walls import inversion_walls, small_roots
-from conftest import GROUPS
+from conftest import GROUPS, diagram, path_edges
+from oracles import braid_closure
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -67,7 +68,7 @@ def test_transition_labels_are_reduced_words(machines):
         for tr in machine.transitions:
             w0 = system.longest_element(set(tr.parabolic))
             assert tr.w0_word == w0.nf
-            assert set(tr.labels) == system.braid_closure(w0.nf)
+            assert set(tr.labels) == braid_closure(system, w0.nf)
             assert tr.labels == tuple(sorted(tr.labels))
 
 
@@ -208,3 +209,28 @@ def test_state_walls_are_small_roots(fname):
         system.word_str(w.reflection.nf) for w in small}
     for T in system.spherical_subsets():
         assert set(inversion_walls(system.longest_element(T))) <= small
+
+
+@pytest.mark.parametrize("rank,edges,count", [
+    # affine Weyl groups: the (h+1)^r regions of the Shi arrangement
+    (3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}, 16),                   # A~2
+    (3, path_edges([4, 4]), 25),                                  # C~2
+    (3, path_edges([6, 3]), 49),                                  # G~2
+    (4, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}, 125),       # A~3
+    (4, {(0, 2): 3, (1, 2): 3, (2, 3): 4}, 343),                  # B~3
+    (4, path_edges([4, 3, 4]), 343),                              # C~3
+    (5, {**path_edges([3, 3, 3, 3]), (0, 4): 3}, 1296),           # A~4
+    # finite groups: every positive root is small, so one state per element
+    (3, path_edges([3, 3]), 24),                                  # A3
+    (3, path_edges([3, 4]), 48),                                  # B3
+    (3, path_edges([5, 3]), 120),                                 # H3
+    (4, path_edges([3, 3, 3]), 120),                              # A4
+    (4, {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 192),                  # D4
+    (4, path_edges([3, 3, 4]), 384),                              # B4
+], ids=["A~2", "C~2", "G~2", "A~3", "B~3", "C~3", "A~4",
+        "A3", "B3", "H3", "A4", "D4", "B4"])
+def test_state_count_closed_forms(rank, edges, count):
+    """On an affine Weyl group of rank r and Coxeter number h, the states
+    are the (h+1)^r regions of the Shi arrangement (Shi 1987); on a finite
+    group they are the |W| elements."""
+    assert build(diagram(rank, edges))[1].state_count == count

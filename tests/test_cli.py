@@ -126,6 +126,20 @@ def test_automaton_state_cap(capsys):
     assert "exceeded 5 states" in err
 
 
+def test_automaton_exits_3_when_a_w0_has_too_many_reduced_words(capsys,
+                                                                tmp_path):
+    """w0 of A5 (a path of order-3 edges) has 292,864 reduced words, more
+    than a transition may list."""
+    names = "abcde"
+    group = tmp_path / "a5.cox"
+    group.write_text(f"generators {' '.join(names)}\n" + "".join(
+        f"m {a} {b} {3 if j == i + 1 else 2}\n"
+        for i, a in enumerate(names) for j, b in enumerate(names) if i < j))
+    code, out, err = run(capsys, "automaton", str(group))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_scan_tsv(capsys):
     code, out, _ = run(capsys, "scan", FIG1, "--radius", "5")
     assert code == 0

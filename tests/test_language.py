@@ -11,8 +11,12 @@ import pytest
 from coxlang import (InvariantViolation, PreconditionError,
                      ResourceLimitError, canonical_word, check_append_lemma,
                      check_prop_main, chunk_decomposition, descent_data,
-                     is_in_standard_language, language_words)
-from oracles import tits_reduce
+                     is_in_standard_language, language, language_words,
+                     parse_system, reduced_words)
+from conftest import GROUPS, diagram, path_edges
+from oracles import braid_closure, tits_reduce
+
+SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
 
 def test_descent_data_example(fig1):
@@ -97,7 +101,7 @@ def test_exhaustive_language_characterization(fig1, a3tilde, ball):
             assert canon in words
             assert len(canon) == g.length
             assert system.element(canon) == g
-            for w in system.braid_closure(g.nf):
+            for w in braid_closure(system, g.nf):
                 assert is_in_standard_language(system, w) == (w in words)
 
 
@@ -153,3 +157,46 @@ def test_prop_main_preconditions(fig1, a3tilde, dinf):
 def test_membership_accepts_string_or_tuple(fig1):
     assert is_in_standard_language(fig1, (0, 1)) == \
         is_in_standard_language(fig1, "st")
+
+
+def _check_reduced_words(system, T):
+    """reduced_words(T) is the sorted braid closure of nf(w0(T)), each word
+    spells w0(T) in l(w0(T)) letters, and the table is kept per T."""
+    words = reduced_words(system, T)
+    w0 = system.longest_element(T)
+    assert words == tuple(sorted(braid_closure(system, w0.nf)))
+    assert all(len(u) == w0.length and system.element(u) is w0
+               for u in words)
+    assert reduced_words(system, set(T)) is words
+    return len(words)
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_reduced_words_of_every_spherical_subset(fname):
+    system = parse_system((GROUPS / fname).read_text())
+    for T in system.spherical_subsets():
+        _check_reduced_words(system, T)
+
+
+@pytest.mark.parametrize("rank,edges,count", [
+    (4, path_edges([3, 3, 3]), 768),                  # A4
+    (3, path_edges([3, 4]), 42),                      # B3
+    (4, {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 2316),     # D4
+    (3, path_edges([5, 3]), 286),                     # H3
+    (4, path_edges([3, 3, 4]), 24024),                # B4
+], ids=["A4", "B3", "D4", "H3", "B4"])
+def test_reduced_words_of_w0_count(rank, edges, count):
+    """The maximal chains of the weak order are the reduced words of w0,
+    in the numbers known for these types (Stanley 1984)."""
+    assert _check_reduced_words(diagram(rank, edges), range(rank)) == count
+
+
+def test_reduced_words_cap(monkeypatch):
+    """A walk that would pass the cap raises and keeps nothing; one that
+    reaches it exactly does not raise."""
+    system = diagram(4, path_edges([3, 3, 3]))
+    monkeypatch.setattr(language, "MAX_REDUCED_WORDS", 767)
+    with pytest.raises(ResourceLimitError, match="767"):
+        reduced_words(system, range(4))
+    monkeypatch.setattr(language, "MAX_REDUCED_WORDS", 768)
+    assert len(reduced_words(system, range(4))) == 768
