@@ -11,8 +11,17 @@ outside generator wall, is blocked by the current set.  All states
 accept; the start state is the empty set.
 
 The state space is discovered by breadth-first closure rather than given a
-priori, so construction needs no global constants, and a scan against the
-membership predicate certifies the result at word-length scale.
+priori, so construction needs no global constants.  `equivalence_scan`
+certifies the result up to a word length by its chunk paths: every
+element has exactly one chunk decomposition, so when each transition
+reads exactly the reduced words of its w0(T), no two transitions leave a
+state on the same T, each accepted path is the chunk decomposition of
+the element it spells, and the paths of each length are as many as the
+elements of that length, the automaton accepts exactly the language
+words of that length (the chunk-Garside-shadow picture of Hohlweg,
+Nadeau & Williams, J. Algebra 2016).  The cost grows with the ball; only
+when the certificate fails is each word run through the automaton and
+the membership predicate, to name the first mismatch.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import NamedTuple
 
 from .core import CoxeterSystem, Element, Word, parse_word, word_str
 from .errors import PreconditionError, ResourceLimitError
-from .language import is_in_standard_language, reduced_words
+from .language import descent_data, is_in_standard_language, reduced_words
 from .walls import (Wall, conjugate_wall, inversion_walls, pulled_wall_set,
                     small_roots, wall_of_generator)
 
@@ -160,13 +169,89 @@ def accepts(fsa: ResidueFsa, word) -> bool:
     return _runner(fsa)(tuple(word))
 
 
+def _certified(fsa: ResidueFsa, system: CoxeterSystem, max_len: int,
+               max_elements: int) -> bool:
+    """Whether the chunk paths of the automaton certify that it accepts
+    exactly the language words of length <= max_len.
+
+    1. Each transition reads w0(T) for a spherical T: `w0_word` is
+       nf(w0(T)), its labels are `reduced_words(system, T)`, and no other
+       transition leaves its source on the same T.
+    2. Each accepted chunk path from the start, of total length <=
+       max_len, spells g_0 = 1, g_1, ..., with descent_data(g_i) ==
+       (T_i, w0(T_i), g_{i-1}) at every step: the path is the chunk
+       decomposition of its last element, and that element's length is
+       the path's length.
+    3. The paths of each length are as many as the elements of that
+       length in the ball.
+
+    By 1 and 2 every accepted word spells its element chunk by chunk, so
+    it is a language word.  An element has one chunk decomposition, and
+    by 1 one sequence of T's from the start is one path, so no two paths
+    end at one element; by 3 every element of length <= max_len then ends
+    a path, and every language word of it, a product of reduced words of
+    its chunks, is accepted.  The walk shares prefixes and makes one
+    chunk step per ball element, not one run per word.
+    """
+    spherical = set(system.spherical_subsets())
+    by_source = {}
+    for tr in fsa.transitions:
+        T = tr.parabolic
+        if T not in spherical:
+            return False
+        w0 = system.longest_element(T)
+        if tr.w0_word != w0.nf or tuple(tr.labels) != reduced_words(system, T):
+            return False
+        steps = by_source.setdefault(tr.source, {})
+        if frozenset(T) in steps:
+            return False
+        steps[frozenset(T)] = (w0, tr.target)
+
+    spheres = [0] * (max_len + 1)
+    for g in system.ball(max_len, max_elements):
+        spheres[len(g.nf)] += 1
+    paths = [0] * (max_len + 1)
+    stack = [(fsa.start, system.identity, 0)]
+    while stack:
+        state, g, length = stack.pop()
+        paths[length] += 1
+        for T, (w0, target) in by_source.get(state, {}).items():
+            if length + w0.length <= max_len:
+                h = system.mul_word(g, w0.nf)
+                T_h, w_h, pi_h = descent_data(h)
+                if w_h is not w0 or pi_h is not g or T_h != T:
+                    return False
+                stack.append((target, h, length + w0.length))
+    return paths == spheres
+
+
+def _word_scan(fsa: ResidueFsa, system: CoxeterSystem,
+               max_len: int) -> EquivalenceReport:
+    """Run the automaton and the membership predicate on each word of
+    length <= max_len, in length and then lex order, to the first
+    disagreement."""
+    run = _runner(fsa)
+    checked = 0
+    for length in range(max_len + 1):
+        for word in itertools.product(range(system.n), repeat=length):
+            checked += 1
+            if run(word) != is_in_standard_language(system, word):
+                return EquivalenceReport(max_len, checked, word)
+    return EquivalenceReport(max_len, checked, None)
+
+
 def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
                      max_len: int) -> EquivalenceReport:
-    """Compare automaton acceptance with the membership predicate on
-    every word of length <= max_len.
+    """Whether the automaton accepts exactly the language words among the
+    words of length <= max_len.
 
-    Raises ResourceLimitError before scanning when there are more than
-    MAX_SCAN_WORDS such words.
+    The chunk-path certificate (`_certified`) settles it when it passes,
+    checking no word on its own; otherwise each word is run through the
+    automaton and the membership predicate, which names the first word
+    they disagree on.  Either way the report counts every word.
+
+    Raises ResourceLimitError before anything else when there are more
+    than MAX_SCAN_WORDS such words.
     """
     if max_len < 0:
         raise PreconditionError("scan length must be nonnegative")
@@ -179,14 +264,9 @@ def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
         raise ResourceLimitError(
             f"scan to length {max_len} would check {more}{words} words, "
             f"over the cap MAX_SCAN_WORDS = {MAX_SCAN_WORDS}")
-    run = _runner(fsa)
-    checked = 0
-    for length in range(max_len + 1):
-        for word in itertools.product(range(system.n), repeat=length):
-            checked += 1
-            if run(word) != is_in_standard_language(system, word):
-                return EquivalenceReport(max_len, checked, word)
-    return EquivalenceReport(max_len, checked, None)
+    if _certified(fsa, system, max_len, words):
+        return EquivalenceReport(max_len, words, None)
+    return _word_scan(fsa, system, max_len)
 
 
 # ----- export ---------------------------------------------------------------

@@ -201,6 +201,7 @@ class CoxeterSystem:
         self._w0_cache: dict[frozenset, Element] = {}
         self._finite_cache: dict[frozenset, bool] = {}
         self._reduced_words: dict[frozenset, tuple[Word, ...]] = {}
+        self._chain_counts: dict[frozenset, int] = {}
         self._small_roots: frozenset | None = None
         self._spherical: tuple[tuple[int, ...], ...] | None = None
 

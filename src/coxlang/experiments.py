@@ -18,7 +18,8 @@ from typing import NamedTuple
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
                    Word, k_constant)
 from .errors import PreconditionError
-from .language import _finite_pairs, _witness, canonical_word, language_words
+from .language import (_finite_pairs, _gate_chain, _signature, _witness,
+                       canonical_word, language_words)
 
 Witness = tuple[Word, int]
 
@@ -217,29 +218,34 @@ def prop_main_scan(system: CoxeterSystem, radius: int,
         raise PreconditionError("radius must be nonnegative")
     pairs = _finite_pairs(system)
     # The residues are built so that check_prop_main's preconditions hold,
-    # so the scan asks `_witness` directly; each pair's words are listed once.
-    words = {(s, t): [u.nf for u in system.parabolic_elements({s, t})]
-             for s, t in pairs}
+    # so the scan asks `_witness` directly; each pair's words are listed
+    # once.  One signature table serves the whole scan: the gates of a
+    # ball element name its residues, and each member's gate chain is
+    # formed once per residue.  A gate is the shortest member, so a
+    # member's length is the gate's plus its word's.
+    words = [[u.nf for u in system.parabolic_elements(set(pair))]
+             for pair in pairs]
+    signatures = {}
     seen = set()
     failures = []
     residues = 0
     checks = 0
     for g in system.ball(radius, max_ball):
-        for s, t in pairs:
-            gate = system.residue_gate(g, {s, t})
-            key = (gate.nf, s, t)
-            if key in seen:
+        for i, gate in enumerate(_signature(g, pairs, signatures)):
+            if (gate, i) in seen:
                 continue
-            seen.add(key)
+            seen.add((gate, i))
             residues += 1
-            members = [system.mul_word(gate, u) for u in words[s, t]]
-            for g1 in members:
-                if g1.length > radius:
+            members = [system.mul_word(gate, u) for u in words[i]]
+            chains = [_gate_chain(x, pairs, signatures) for x in members]
+            inside = radius - gate.length
+            for u, g1, chain in zip(words[i], members, chains):
+                if len(u) > inside:
                     continue
-                for g2 in members:
+                for g2, chain_prime in zip(members, chains):
                     checks += 1
-                    if _witness(g1, g2, pairs) is None:
-                        failures.append((g1.nf, g2.nf, s, t))
+                    if _witness(chain, chain_prime, pairs) is None:
+                        failures.append((g1.nf, g2.nf, *pairs[i]))
     return PropMainReport(radius, residues, checks, tuple(failures))
 
 

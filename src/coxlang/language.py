@@ -100,25 +100,51 @@ def canonical_word(g: Element) -> Word:
 MAX_REDUCED_WORDS = 200_000
 
 
+def reduced_word_count(system: CoxeterSystem, T) -> int:
+    """The number of reduced words of w0(T); kept on the system per T.
+
+    They are the maximal chains from the identity in the weak order of
+    W_T, so one pass over its elements, level by level, counts them: each
+    ascent t of u passes the chains reaching u on to u·t.  No word is
+    formed.
+    """
+    T = frozenset(T)
+    count = system._chain_counts.get(T)
+    if count is None:
+        ts, level = sorted(T), {system.identity: 1}
+        for _ in range(system.longest_element(T).length):
+            above = {}
+            for u, chains in level.items():
+                for t in ts:
+                    if t not in u.right_descents():
+                        v = system.mul_gen(u, t)
+                        above[v] = above.get(v, 0) + chains
+            level = above
+        count = system._chain_counts[T] = sum(level.values())
+    return count
+
+
 def reduced_words(system: CoxeterSystem, T) -> tuple[Word, ...]:
     """Every reduced word of w0(T), sorted; kept on the system per T.
 
     They are the maximal chains from the identity in the weak order of
     W_T (Björner & Brenti 2005, Ch. 3), walked one letter per level with
-    the ascents in increasing order, so each level is in lex order.  Every
-    prefix extends to a word, so a level over MAX_REDUCED_WORDS raises.
+    the ascents in increasing order, so each level is in lex order.  More
+    than MAX_REDUCED_WORDS of them raises, from `reduced_word_count`,
+    before any word is formed.
     """
     T = frozenset(T)
     words = system._reduced_words.get(T)
     if words is None:
-        ts, level = sorted(T), [((), system.identity)]
+        ts = sorted(T)
+        if reduced_word_count(system, T) > MAX_REDUCED_WORDS:
+            names = ",".join(system.matrix.names[t] for t in ts)
+            raise ResourceLimitError(f"w0({{{names}}}) has more than "
+                                     f"{MAX_REDUCED_WORDS} reduced words")
+        level = [((), system.identity)]
         for _ in range(system.longest_element(T).length):
             level = [(word + (t,), system.mul_gen(u, t)) for word, u in level
                      for t in ts if t not in u.right_descents()]
-            if len(level) > MAX_REDUCED_WORDS:
-                names = ",".join(system.matrix.names[t] for t in ts)
-                raise ResourceLimitError(f"w0({{{names}}}) has more than "
-                                         f"{MAX_REDUCED_WORDS} reduced words")
         words = system._reduced_words[T] = tuple(word for word, _ in level)
     return words
 
@@ -198,22 +224,43 @@ def check_prop_main(g: Element, g_prime: Element, s: int, t: int):
         raise PreconditionError("the pair (s, t) must span a finite parabolic")
     if not system.in_residue(g_prime, g, {s, t}):
         raise PreconditionError("g' must lie in the residue g<s, t>")
-    return _witness(g, g_prime, _finite_pairs(system))
+    pairs, signatures = _finite_pairs(system), {}
+    return _witness(_gate_chain(g, pairs, signatures),
+                    _gate_chain(g_prime, pairs, signatures), pairs)
 
 
-def _witness(g: Element, g_prime: Element, pairs):
+def _signature(x: Element, pairs, signatures: dict) -> tuple:
+    """The gates of x's residues x<p, r>, one per pair, kept in
+    `signatures`."""
+    sig = signatures.get(x)
+    if sig is None:
+        gate = x.system.residue_gate
+        sig = signatures[x] = tuple(gate(x, pair) for pair in pairs)
+    return sig
+
+
+def _gate_chain(g: Element, pairs, signatures: dict) -> list[tuple]:
+    """The signatures of g, Pi(g), Pi^2(g) and Pi^3(g)."""
+    return [_signature(x, pairs, signatures) for x in _pi_chain(g, 3)]
+
+
+# The (k, k') of the witness search in order: by increasing k + k', and
+# the largest k first.
+_WITNESS_STEPS = tuple((k, total - k) for total in range(1, 7)
+                       for k in range(min(3, total), -1, -1) if total - k <= 3)
+
+
+def _witness(chain: list[tuple], chain_prime: list[tuple], pairs):
     """`check_prop_main` without its precondition checks, over the given
-    spherical pairs."""
-    system = g.system
-    chain_g = _pi_chain(g, 3)
-    chain_gp = _pi_chain(g_prime, 3)
-    for total in range(1, 7):
-        for k in range(min(3, total), -1, -1):
-            kp = total - k
-            if kp > 3:
-                continue
-            x, y = chain_g[k], chain_gp[kp]
-            for p, r in pairs:
-                if system.in_residue(y, x, {p, r}):
-                    return k, kp, p, r
+    spherical pairs, for g and g' given by their `_gate_chain`s.
+
+    Pi^{k'}(g') lies in Pi^k(g)<p, r> exactly when the two have the same
+    <p, r>-gate, so a witness test is one identity comparison of two
+    signature entries.  A scan keeps one `signatures` dict for all its
+    chains, so each element's gates are formed once.
+    """
+    for k, kp in _WITNESS_STEPS:
+        for pair, x, y in zip(pairs, chain[k], chain_prime[kp]):
+            if x is y:
+                return (k, kp, *pair)
     return None

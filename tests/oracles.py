@@ -367,6 +367,29 @@ def pair_value(system, v, vp, s):
     return best
 
 
+def residue_witness(g, g_prime, pairs):
+    """The residue witness (k, k', p, r) for g and g', or None, asked of
+    `in_residue` one (k, k', pair) at a time along the Pi chains: by
+    increasing k + k', the largest k first, pairs in the given order."""
+    system = g.system
+    chains = []
+    for x in (g, g_prime):
+        chain = [x]
+        for _ in range(3):
+            chain.append(descent_data(chain[-1])[2])
+        chains.append(chain)
+    for total in range(1, 7):
+        for k in range(min(3, total), -1, -1):
+            kp = total - k
+            if kp > 3:
+                continue
+            x, y = chains[0][k], chains[1][kp]
+            for p, r in pairs:
+                if system.in_residue(y, x, {p, r}):
+                    return k, kp, p, r
+    return None
+
+
 def crossing_patterns(a, b, chambers):
     """Which (side of a, side of b) combinations the sample realizes."""
     return {(side(a, g), side(b, g)) for g in chambers}

@@ -8,7 +8,8 @@ import pytest
 from coxlang import (ParseError, ResourceLimitError, accepts, build,
                      canonical_word, equivalence_scan, from_json,
                      parse_system, to_dot, to_json)
-from coxlang.automaton import wall_state_key
+from coxlang import automaton
+from coxlang.automaton import _certified, _word_scan, wall_state_key
 from coxlang.walls import inversion_walls, small_roots
 from conftest import GROUPS, diagram, path_edges
 from oracles import braid_closure
@@ -234,3 +235,150 @@ def test_state_count_closed_forms(rank, edges, count):
     are the (h+1)^r regions of the Shi arrangement (Shi 1987); on a finite
     group they are the |W| elements."""
     assert build(diagram(rank, edges))[1].state_count == count
+
+
+@pytest.mark.parametrize("fname,max_len", [
+    ("a3tilde.cox", 5), ("dihedral_inf.cox", 10), ("fig1.cox", 6),
+    ("single.cox", 6), ("triangle_237.cox", 5), ("triangle_245.cox", 5),
+    ("triangle_333.cox", 6)])
+def test_certificate_report_equals_the_word_loop(fname, max_len):
+    """On every shipped group the chunk-path certificate passes, and its
+    report is the one the word-by-word loop gives, at every length."""
+    system = parse_system((GROUPS / fname).read_text())
+    fsa, _ = build(system)
+    words = sum(system.n ** k for k in range(max_len + 1))
+    assert _certified(fsa, system, max_len, words)
+    for length in range(max_len + 1):
+        assert equivalence_scan(fsa, system, length) == \
+            _word_scan(fsa, system, length)
+
+
+def _first_with_two_labels(fsa):
+    return next(i for i, tr in enumerate(fsa.transitions)
+                if len(tr.labels) > 1)
+
+
+def _changed(fsa, i, tr):
+    return fsa.transitions[:i] + (tr,) + fsa.transitions[i + 1:]
+
+
+def _drop_label(fsa):
+    i = _first_with_two_labels(fsa)
+    tr = fsa.transitions[i]
+    return _changed(fsa, i, tr._replace(labels=tr.labels[1:]))
+
+
+def _repeat_label(fsa):
+    """As many labels, one of them twice and another missing."""
+    i = _first_with_two_labels(fsa)
+    tr = fsa.transitions[i]
+    return _changed(fsa, i, tr._replace(labels=tr.labels[:1] + tr.labels[:-1]))
+
+
+def _misspell_label(fsa):
+    """A label of the right length and letters that does not spell w0."""
+    i = _first_with_two_labels(fsa)
+    tr = fsa.transitions[i]
+    wrong = (tr.parabolic[0],) * len(tr.w0_word)
+    return _changed(fsa, i, tr._replace(labels=tr.labels[:-1] + (wrong,)))
+
+
+def _drop_transition(fsa):
+    return fsa.transitions[1:]
+
+
+def _duplicate_for_dropped(fsa):
+    """The first transition replaced by a copy of the second: as many
+    transitions, one (source, T) twice and another missing."""
+    return _changed(fsa, 0, fsa.transitions[1])
+
+
+def _duplicate_transition(fsa):
+    """The first transition listed twice: the same words are accepted, but
+    one (source, T) has two transitions."""
+    return fsa.transitions + fsa.transitions[:1]
+
+
+def _retarget(fsa):
+    tr = fsa.transitions[0]
+    return _changed(fsa, 0, tr._replace(target=(tr.target + 1)
+                                        % len(fsa.states)))
+
+
+def _short_w0_word(fsa):
+    i = _first_with_two_labels(fsa)
+    tr = fsa.transitions[i]
+    return _changed(fsa, i, tr._replace(w0_word=tr.w0_word[:-1]))
+
+
+def _other_w0_word(fsa):
+    """Another reduced word of w0: the word loop reads only its length."""
+    i = _first_with_two_labels(fsa)
+    tr = fsa.transitions[i]
+    other = next(u for u in tr.labels if u != tr.w0_word)
+    return _changed(fsa, i, tr._replace(w0_word=other))
+
+
+_MUTATIONS = {
+    "label-dropped": (_drop_label, False),
+    "label-repeated": (_repeat_label, False),
+    "label-misspelt": (_misspell_label, False),
+    "transition-dropped": (_drop_transition, False),
+    "transition-duplicated": (_duplicate_transition, True),
+    "transition-duplicated-for-dropped": (_duplicate_for_dropped, False),
+    "retargeted": (_retarget, False),
+    "short-w0-word": (_short_w0_word, False),
+    "other-w0-word": (_other_w0_word, True),
+}
+
+
+@pytest.mark.parametrize("fname,mutation", [
+    *((fname, mutation)
+      for fname in ("fig1.cox", "triangle_333.cox", "a3tilde.cox")
+      for mutation in _MUTATIONS),
+    # Over two free generators every path length has two paths, as many
+    # as the sphere, with "a" no longer accepted.
+    ("dihedral_inf.cox", "transition-duplicated-for-dropped")])
+def test_mutated_machine_reports_as_the_word_loop(fname, mutation):
+    """A machine that is wrong, or only written differently, fails the
+    certificate, and the scan's report, first mismatch and word count
+    included, is the word loop's."""
+    mutate, loop_ok = _MUTATIONS[mutation]
+    system = parse_system((GROUPS / fname).read_text())
+    fsa, _ = build(system)
+    bad = fsa._replace(transitions=mutate(fsa))
+    max_len = 4 if system.n > 3 else 5
+    words = sum(system.n ** k for k in range(max_len + 1))
+    assert not _certified(bad, system, max_len, words)
+    expected = _word_scan(bad, system, max_len)
+    assert expected.ok == loop_ok
+    assert equivalence_scan(bad, system, max_len) == expected
+
+
+def test_passing_certificate_checks_no_word(fig1, monkeypatch):
+    """With the certificate passing, no word is run through the automaton
+    or the membership predicate."""
+    fsa, _ = build(fig1)
+
+    def refuse(*args):
+        raise AssertionError("a word was checked on its own")
+
+    monkeypatch.setattr(automaton, "is_in_standard_language", refuse)
+    monkeypatch.setattr(automaton, "_runner", refuse)
+    assert equivalence_scan(fsa, fig1, 8) == (8, 9841, None)
+
+
+def test_path_walk_takes_one_step_per_ball_element(fig1, monkeypatch):
+    """The walk takes one chunk step per nonidentity element of the ball;
+    a machine listing a (source, T) twice is refused before any step."""
+    fsa, _ = build(fig1)
+    steps = []
+    real = automaton.descent_data
+    monkeypatch.setattr(automaton, "descent_data",
+                        lambda h: steps.append(h) or real(h))
+    assert _certified(fsa, fig1, 8, 9841)
+    assert len(steps) == len(set(steps)) == len(fig1.ball(8)) - 1
+    steps.clear()
+    bad = fsa._replace(transitions=fsa.transitions * 3)
+    assert not _certified(bad, fig1, 8, 9841)
+    assert steps == []

@@ -129,7 +129,8 @@ def test_automaton_state_cap(capsys):
 def test_automaton_exits_3_when_a_w0_has_too_many_reduced_words(capsys,
                                                                 tmp_path):
     """w0 of A5 (a path of order-3 edges) has 292,864 reduced words, more
-    than a transition may list."""
+    than a transition may list; their count says so before any is
+    formed."""
     names = "abcde"
     group = tmp_path / "a5.cox"
     group.write_text(f"generators {' '.join(names)}\n" + "".join(
@@ -137,7 +138,7 @@ def test_automaton_exits_3_when_a_w0_has_too_many_reduced_words(capsys,
         for i, a in enumerate(names) for j, b in enumerate(names) if i < j))
     code, out, err = run(capsys, "automaton", str(group))
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err == "error: w0({a,b,c,d,e}) has more than 200000 reduced words\n"
 
 
 def test_scan_tsv(capsys):
@@ -216,6 +217,22 @@ def test_equivalence_scan_cap(capsys):
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert "308836698141973 words" in err and "MAX_SCAN_WORDS = 1000000" in err
+
+
+def test_a3tilde_scan_to_length_9_is_certified_by_chunk_paths(capsys,
+                                                                monkeypatch):
+    """349,525 words, settled by one walk over the chunk paths: no word
+    is run through the automaton or the membership predicate."""
+    from coxlang import automaton
+
+    def refuse(*args):
+        raise AssertionError("a word was checked on its own")
+
+    monkeypatch.setattr(automaton, "is_in_standard_language", refuse)
+    monkeypatch.setattr(automaton, "_runner", refuse)
+    code, out, err = run(capsys, "automaton", A3T, "--scan-len", "9")
+    assert (code, err) == (0, "")
+    assert out.endswith("equivalent up to length 9 (349525 words)\n")
 
 
 def test_free_product_of_30_generators(capsys, tmp_path):

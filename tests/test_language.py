@@ -14,7 +14,7 @@ from coxlang import (InvariantViolation, PreconditionError,
                      is_in_standard_language, language, language_words,
                      parse_system, reduced_words)
 from conftest import GROUPS, diagram, path_edges
-from oracles import braid_closure, tits_reduce
+from oracles import braid_closure, residue_witness, tits_reduce
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -161,13 +161,15 @@ def test_membership_accepts_string_or_tuple(fig1):
 
 def _check_reduced_words(system, T):
     """reduced_words(T) is the sorted braid closure of nf(w0(T)), each word
-    spells w0(T) in l(w0(T)) letters, and the table is kept per T."""
+    spells w0(T) in l(w0(T)) letters, the table is kept per T, and the
+    chain count equals the number of words."""
     words = reduced_words(system, T)
     w0 = system.longest_element(T)
     assert words == tuple(sorted(braid_closure(system, w0.nf)))
     assert all(len(u) == w0.length and system.element(u) is w0
                for u in words)
     assert reduced_words(system, set(T)) is words
+    assert language.reduced_word_count(system, T) == len(words)
     return len(words)
 
 
@@ -200,3 +202,51 @@ def test_reduced_words_cap(monkeypatch):
         reduced_words(system, range(4))
     monkeypatch.setattr(language, "MAX_REDUCED_WORDS", 768)
     assert len(reduced_words(system, range(4))) == 768
+
+
+def test_reduced_word_count_of_a5_forms_no_word(monkeypatch):
+    """w0 of A5 has 292,864 reduced words (Stanley 1984): the chain count
+    finds that over the 720 elements of A5, one step per edge of the weak
+    order (1,800) besides the 15 that form w0, and reduced_words refuses
+    it from the count, forming no word and keeping nothing."""
+    system = diagram(5, path_edges([3, 3, 3, 3]))
+    steps = []
+    real = system.mul_gen
+    monkeypatch.setattr(system, "mul_gen",
+                        lambda g, s: steps.append(s) or real(g, s))
+    assert language.reduced_word_count(system, range(5)) == 292_864
+    assert len(steps) == 1_800 + 15
+    with pytest.raises(ResourceLimitError,
+                       match=r"^w0\(\{g0,g1,g2,g3,g4\}\) has more than 200000 "
+                             r"reduced words$"):
+        reduced_words(system, range(5))
+    assert len(steps) == 1_800 + 15
+    assert frozenset(range(5)) not in system._reduced_words
+
+
+@pytest.mark.parametrize("name", ["fig1", "triangle"])
+def test_witness_search_matches_in_residue_oracle(request, name):
+    """On every residue met from the radius-5 ball, the witness of every
+    ordered pair of members, from gate signatures shared over the whole
+    run and from check_prop_main's own, is the one that asking
+    `in_residue` pair by pair finds."""
+    system = request.getfixturevalue(name)
+    pairs = language._finite_pairs(system)
+    signatures, seen = {}, set()
+    for g in system.ball(5):
+        for p, r in pairs:
+            gate = system.residue_gate(g, {p, r})
+            if (gate, p, r) in seen:
+                continue
+            seen.add((gate, p, r))
+            members = [system.mul_word(gate, u.nf)
+                       for u in system.parabolic_elements({p, r})]
+            for g1 in members:
+                chain = language._gate_chain(g1, pairs, signatures)
+                for g2 in members:
+                    expected = residue_witness(g1, g2, pairs)
+                    assert expected is not None
+                    chain_prime = language._gate_chain(g2, pairs, signatures)
+                    assert language._witness(chain, chain_prime,
+                                             pairs) == expected
+                    assert check_prop_main(g1, g2, p, r) == expected
