@@ -3,22 +3,20 @@
 States are finite wall sets pulled back to the identity: reading a prefix
 of a language word leaves the machine in the state g^-1·W(g), where g is
 the element spelled so far, and each such wall is a small root.  A
-transition consumes one whole chunk: any reduced word of the longest
-element of a finite parabolic T, which is any maximal chain of the weak
-order of W_T read from the identity (`reduced_words`).  It is allowed
-precisely when no generator wall of T, and no far-side image of an
-outside generator wall, is blocked by the current set.  All states
-accept; the start state is the empty set.
+transition keeps only a finite parabolic T and consumes one whole chunk:
+any word of l(w0(T)) letters that spells w0(T), the longest element of T.
+It is allowed precisely when no generator wall of T, and no far-side
+image of an outside generator wall, is blocked by the current set.  All
+states accept; the start state is the empty set.
 
 The state space is discovered by breadth-first closure rather than given a
 priori, so construction needs no global constants.  `equivalence_scan`
 certifies the result up to a word length by its chunk paths: every
-element has exactly one chunk decomposition, so when each transition
-reads exactly the reduced words of its w0(T), no two transitions leave a
-state on the same T, each accepted path is the chunk decomposition of
-the element it spells, and the paths of each length are as many as the
-elements of that length, the automaton accepts exactly the language
-words of that length (the chunk-Garside-shadow picture of Hohlweg,
+element has exactly one chunk decomposition, so when no two transitions
+leave a state on the same T, each accepted path is the chunk
+decomposition of the element it spells, and the paths of each length are
+as many as the elements of that length, the automaton accepts exactly the
+language words of that length (the chunk-Garside-shadow picture of Hohlweg,
 Nadeau & Williams, J. Algebra 2016).  The cost grows with the ball; only
 when the certificate fails is each word run through the automaton and
 the membership predicate, to name the first mismatch.
@@ -29,8 +27,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import CoxeterSystem, Element, Word, parse_word, word_str
-from .errors import PreconditionError, ResourceLimitError
+from .core import CoxeterSystem, Element, Word, parse_word
+from .errors import ParseError, PreconditionError, ResourceLimitError
 from .language import descent_data, is_in_standard_language, reduced_words
 from .walls import (Wall, conjugate_wall, inversion_walls, pulled_wall_set,
                     small_roots, wall_of_generator)
@@ -41,13 +39,11 @@ MAX_SCAN_WORDS = 10**6
 class Transition(NamedTuple):
     source: int
     parabolic: tuple[int, ...]
-    w0_word: Word
-    labels: tuple[Word, ...]
     target: int
 
 
 class ResidueFsa(NamedTuple):
-    generators: tuple[str, ...]
+    system: CoxeterSystem
     states: tuple[tuple[str, ...], ...]
     transitions: tuple[Transition, ...]
     start: int
@@ -100,8 +96,7 @@ def build(system: CoxeterSystem,
         images = {a: conjugate_wall(w0, a) for a in small}
         blocked = {images[wall_of_generator(system, t)] for t in range(system.n)}
         images = {a: b for a, b in images.items() if b in small}
-        labels = reduced_words(system, T)
-        chunk[T] = (w0, blocked, labels, frozenset(inversion_walls(w0)), images)
+        chunk[T] = (blocked, frozenset(inversion_walls(w0)), images)
 
     start: frozenset[Wall] = frozenset()
     states = [start]
@@ -111,7 +106,7 @@ def build(system: CoxeterSystem,
     while pos < len(states):
         walls = states[pos]
         for T in subsets:
-            w0, blocked, labels, rwalls, images = chunk[T]
+            blocked, rwalls, images = chunk[T]
             if not walls.isdisjoint(blocked):
                 continue
             target_walls = rwalls.union(images[a] for a in images.keys() & walls)
@@ -128,25 +123,28 @@ def build(system: CoxeterSystem,
                     raise err
                 index[target_walls] = target
                 states.append(target_walls)
-            transitions.append(Transition(pos, T, w0.nf, labels, target))
+            transitions.append(Transition(pos, T, target))
         pos += 1
 
     state_strings, depth = _render(system, states)
-    fsa = ResidueFsa(system.matrix.names, state_strings, tuple(transitions), 0)
+    fsa = ResidueFsa(system, state_strings, tuple(transitions), 0)
     report = BuildReport(len(states), len(transitions), depth, truncated=False)
     return fsa, report
 
 
 def _runner(fsa: ResidueFsa):
-    """Acceptance by set-of-runs matching over whole-chunk labels.
+    """Acceptance by set-of-runs matching over whole chunks.
 
-    The by-source index and the label sets are built once, so one runner
-    serves any number of words.
+    A T transition reads the next l(w0(T)) letters when they spell w0(T):
+    a word of that length spelling w0(T) is one of its reduced words.  The
+    by-source index is built once, so one runner serves any number of
+    words.
     """
+    system = fsa.system
     by_source = {}
     for tr in fsa.transitions:
-        by_source.setdefault(tr.source, []).append(
-            (len(tr.w0_word), frozenset(tr.labels), tr.target))
+        w0 = system.longest_element(tr.parabolic)
+        by_source.setdefault(tr.source, []).append((w0.length, w0, tr.target))
 
     def run(word: Word) -> bool:
         n = len(word)
@@ -154,8 +152,9 @@ def _runner(fsa: ResidueFsa):
         active[0].add(fsa.start)
         for i in range(n):
             for state in active[i]:
-                for k, labels, target in by_source.get(state, ()):
-                    if i + k <= n and word[i:i + k] in labels:
+                for k, w0, target in by_source.get(state, ()):
+                    if i + k <= n and system.mul_word(
+                            system.identity, word[i:i + k]) is w0:
                         active[i + k].add(target)
         return bool(active[n])
 
@@ -163,20 +162,20 @@ def _runner(fsa: ResidueFsa):
 
 
 def accepts(fsa: ResidueFsa, word) -> bool:
-    """Whether the automaton accepts a word (indices or a string)."""
+    """Whether the automaton accepts a word (indices or a string); an
+    unknown name or a letter out of range raises."""
     if isinstance(word, str):
-        word = parse_word(fsa.generators, word)
+        word = fsa.system.parse_word(word)
+    fsa.system.element(word)  # checks every letter
     return _runner(fsa)(tuple(word))
 
 
-def _certified(fsa: ResidueFsa, system: CoxeterSystem, max_len: int,
-               max_elements: int) -> bool:
+def _certified(fsa: ResidueFsa, max_len: int, max_elements: int) -> bool:
     """Whether the chunk paths of the automaton certify that it accepts
     exactly the language words of length <= max_len.
 
-    1. Each transition reads w0(T) for a spherical T: `w0_word` is
-       nf(w0(T)), its labels are `reduced_words(system, T)`, and no other
-       transition leaves its source on the same T.
+    1. Each transition's T is spherical, and no other transition leaves
+       its source on the same T.
     2. Each accepted chunk path from the start, of total length <=
        max_len, spells g_0 = 1, g_1, ..., with descent_data(g_i) ==
        (T_i, w0(T_i), g_{i-1}) at every step: the path is the chunk
@@ -190,22 +189,20 @@ def _certified(fsa: ResidueFsa, system: CoxeterSystem, max_len: int,
     by 1 one sequence of T's from the start is one path, so no two paths
     end at one element; by 3 every element of length <= max_len then ends
     a path, and every language word of it, a product of reduced words of
-    its chunks, is accepted.  The walk shares prefixes and makes one
-    chunk step per ball element, not one run per word.
+    its chunks, is accepted.  The walk shares prefixes and makes one chunk
+    step per ball element, not one run per word.
     """
+    system = fsa.system
     spherical = set(system.spherical_subsets())
     by_source = {}
     for tr in fsa.transitions:
         T = tr.parabolic
         if T not in spherical:
             return False
-        w0 = system.longest_element(T)
-        if tr.w0_word != w0.nf or tuple(tr.labels) != reduced_words(system, T):
-            return False
         steps = by_source.setdefault(tr.source, {})
         if frozenset(T) in steps:
             return False
-        steps[frozenset(T)] = (w0, tr.target)
+        steps[frozenset(T)] = (system.longest_element(T), tr.target)
 
     spheres = [0] * (max_len + 1)
     for g in system.ball(max_len, max_elements):
@@ -225,12 +222,11 @@ def _certified(fsa: ResidueFsa, system: CoxeterSystem, max_len: int,
     return paths == spheres
 
 
-def _word_scan(fsa: ResidueFsa, system: CoxeterSystem,
-               max_len: int) -> EquivalenceReport:
+def _word_scan(fsa: ResidueFsa, max_len: int) -> EquivalenceReport:
     """Run the automaton and the membership predicate on each word of
     length <= max_len, in length and then lex order, to the first
     disagreement."""
-    run = _runner(fsa)
+    system, run = fsa.system, _runner(fsa)
     checked = 0
     for length in range(max_len + 1):
         for word in itertools.product(range(system.n), repeat=length):
@@ -240,22 +236,19 @@ def _word_scan(fsa: ResidueFsa, system: CoxeterSystem,
     return EquivalenceReport(max_len, checked, None)
 
 
-def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
-                     max_len: int) -> EquivalenceReport:
+def equivalence_scan(fsa: ResidueFsa, max_len: int) -> EquivalenceReport:
     """Whether the automaton accepts exactly the language words among the
     words of length <= max_len.
 
     The chunk-path certificate (`_certified`) settles it when it passes,
     checking no word on its own; otherwise each word is run through the
     automaton and the membership predicate, which names the first word
-    they disagree on.  Either way the report counts every word.
-
-    Raises ResourceLimitError before anything else when there are more
-    than MAX_SCAN_WORDS such words.
+    they disagree on.  Either way the report counts every word.  More
+    than MAX_SCAN_WORDS such words raise ResourceLimitError first.
     """
     if max_len < 0:
         raise PreconditionError("scan length must be nonnegative")
-    n = system.n
+    n = fsa.system.n
     # Over n >= 2 letters length 20 alone passes the cap; count to 64 at most.
     short = min(max_len, 64)
     words = (n ** (short + 1) - 1) // (n - 1) if n > 1 else max_len + 1
@@ -264,53 +257,58 @@ def equivalence_scan(fsa: ResidueFsa, system: CoxeterSystem,
         raise ResourceLimitError(
             f"scan to length {max_len} would check {more}{words} words, "
             f"over the cap MAX_SCAN_WORDS = {MAX_SCAN_WORDS}")
-    if _certified(fsa, system, max_len, words):
+    if _certified(fsa, max_len, words):
         return EquivalenceReport(max_len, words, None)
-    return _word_scan(fsa, system, max_len)
+    return _word_scan(fsa, max_len)
 
 
 # ----- export ---------------------------------------------------------------
 
 
+def _json_of(system: CoxeterSystem, tr: Transition) -> dict:
+    """A transition as `to_json` writes it: with nf(w0(T)) and
+    `reduced_words(system, T)`, which may raise ResourceLimitError."""
+    names = system.matrix.names
+    return {"from": tr.source,
+            "T": [names[t] for t in tr.parabolic],
+            "w0": system.word_str(system.longest_element(tr.parabolic).nf),
+            "labels": [system.word_str(w)
+                       for w in reduced_words(system, tr.parabolic)],
+            "to": tr.target}
+
+
 def to_json(fsa: ResidueFsa) -> str:
     import json
 
-    names = fsa.generators
     doc = {
-        "generators": list(names),
+        "generators": list(fsa.system.matrix.names),
         "states": [list(st) for st in fsa.states],
-        "transitions": [
-            {
-                "from": tr.source,
-                "T": [names[t] for t in tr.parabolic],
-                "w0": word_str(names, tr.w0_word),
-                "labels": [word_str(names, w) for w in tr.labels],
-                "to": tr.target,
-            }
-            for tr in fsa.transitions
-        ],
+        "transitions": [_json_of(fsa.system, tr) for tr in fsa.transitions],
         "start": fsa.start,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def from_json(text: str) -> ResidueFsa:
+def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
+    """The machine `to_json` wrote for `system`.  Raises ParseError unless
+    the generators are the system's and each transition has a spherical T
+    and is written as `to_json` writes it, `w0` and `labels` included."""
     import json
 
     doc = json.loads(text)
-    names = tuple(doc["generators"])
-    transitions = tuple(
-        Transition(
-            tr["from"],
-            parse_word(names, " ".join(tr["T"])),
-            parse_word(names, tr["w0"]),
-            tuple(parse_word(names, w) for w in tr["labels"]),
-            tr["to"],
-        )
-        for tr in doc["transitions"]
-    )
+    names = system.matrix.names
+    if tuple(doc["generators"]) != names:
+        raise ParseError(0, f"generators {doc['generators']} differ")
+    spherical = set(system.spherical_subsets())
+    transitions = []
+    for i, written in enumerate(doc["transitions"]):
+        tr = Transition(written["from"], parse_word(names, " ".join(
+            written["T"])), written["to"])
+        if tr.parabolic not in spherical or _json_of(system, tr) != written:
+            raise ParseError(0, f"transition {i} does not match its T")
+        transitions.append(tr)
     states = tuple(tuple(st) for st in doc["states"])
-    return ResidueFsa(names, states, transitions, doc["start"])
+    return ResidueFsa(system, states, tuple(transitions), doc["start"])
 
 
 def _dot_label(text: str) -> str:
@@ -319,7 +317,8 @@ def _dot_label(text: str) -> str:
 
 
 def to_dot(fsa: ResidueFsa) -> str:
-    names = fsa.generators
+    system = fsa.system
+    names = system.matrix.names
     lines = ["digraph standard_language {", "  rankdir=LR;",
              "  node [shape=doublecircle];",
              '  __start [shape=none, label=""];',
@@ -330,7 +329,8 @@ def to_dot(fsa: ResidueFsa) -> str:
         lines.append(f"  q{i} [{label}];")
     for tr in fsa.transitions:
         tnames = ",".join(names[t] for t in tr.parabolic)
-        label = _dot_label(f"{{{tnames}}} : {word_str(names, tr.w0_word)}")
+        w0 = system.longest_element(tr.parabolic)
+        label = _dot_label(f"{{{tnames}}} : {system.word_str(w0.nf)}")
         lines.append(f"  q{tr.source} -> q{tr.target} [{label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ def cmd_automaton(args: argparse.Namespace) -> int:
     mismatch = None
     scan = None
     if args.scan_len is not None:
-        scan = fsa.equivalence_scan(machine, system, args.scan_len)
+        scan = fsa.equivalence_scan(machine, args.scan_len)
         mismatch = scan.first_mismatch
     if args.fmt == "json":
         _emit(fsa.to_json(machine), args)

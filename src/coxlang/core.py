@@ -547,10 +547,10 @@ class CoxeterSystem:
 
     def parabolic_elements(self, T, max_elements: int = DEFAULT_BALL_CAP) -> list["Element"]:
         """All elements of <T>; raises ResourceLimitError if the cap trips."""
-        return self._closure(sorted(T), None, max_elements)
+        return self._closure(T, None, max_elements)
 
     def _closure(self, gens, radius, max_elements) -> list["Element"]:
-        gens = tuple(gens)
+        gens = sorted(set(gens))  # ascending letters, each once
         if max_elements < 1:
             raise ResourceLimitError(
                 f"element enumeration exceeded cap {max_elements}")

@@ -223,7 +223,7 @@ def prop_main_scan(system: CoxeterSystem, radius: int,
     # ball element name its residues, and each member's gate chain is
     # formed once per residue.  A gate is the shortest member, so a
     # member's length is the gate's plus its word's.
-    words = [[u.nf for u in system.parabolic_elements(set(pair))]
+    words = [[u.nf for u in system.parabolic_elements(pair)]
              for pair in pairs]
     signatures = {}
     seen = set()

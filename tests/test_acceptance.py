@@ -82,7 +82,7 @@ def test_c2_automaton_matches_membership(fig1, triangle, dinf, a3tilde):
                                   (a3tilde, "a3tilde", 7)):
         fsa, report = build(system)
         assert not report.truncated
-        scan = equivalence_scan(fsa, system, max_len)
+        scan = equivalence_scan(fsa, max_len)
         assert scan.first_mismatch is None, f"{name}: {scan.first_mismatch}"
         parts.append(f"{name} len {max_len} ({scan.words_checked} words)")
     print("\nC2 PASS: " + "; ".join(parts))

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from coxlang import (ParseError, ResourceLimitError, accepts, build,
-                     canonical_word, equivalence_scan, from_json,
-                     parse_system, to_dot, to_json)
+from coxlang import (ParseError, PreconditionError, ResourceLimitError,
+                     accepts, build, canonical_word, equivalence_scan,
+                     from_json, parse_system, to_dot, to_json)
 from coxlang import automaton
 from coxlang.automaton import _certified, _word_scan, wall_state_key
 from coxlang.walls import inversion_walls, small_roots
@@ -49,10 +49,7 @@ def test_build_is_deterministic(fig1):
     m2, r2 = build(fig1)
     assert m1.states == m2.states
     assert r1 == r2
-    assert [(t.source, t.parabolic, t.w0_word, t.target)
-            for t in m1.transitions] == \
-        [(t.source, t.parabolic, t.w0_word, t.target)
-         for t in m2.transitions]
+    assert m1.transitions == m2.transitions
 
 
 def test_transitions_deterministic_per_parabolic(machines):
@@ -65,12 +62,16 @@ def test_transitions_deterministic_per_parabolic(machines):
 
 
 def test_transition_labels_are_reduced_words(machines):
+    """`to_json` writes each transition with nf(w0(T)) and every reduced
+    word of w0(T) once, sorted, as the braid-move closure finds them."""
     for system, machine, _ in machines.values():
-        for tr in machine.transitions:
-            w0 = system.longest_element(set(tr.parabolic))
-            assert tr.w0_word == w0.nf
-            assert set(tr.labels) == braid_closure(system, w0.nf)
-            assert tr.labels == tuple(sorted(tr.labels))
+        written = json.loads(to_json(machine))["transitions"]
+        for tr, doc in zip(machine.transitions, written):
+            w0 = system.longest_element(tr.parabolic)
+            assert system.parse_word(doc["w0"]) == w0.nf
+            labels = [system.parse_word(w) for w in doc["labels"]]
+            assert set(labels) == braid_closure(system, w0.nf)
+            assert labels == sorted(set(labels))
 
 
 def test_start_state_is_empty(machines):
@@ -89,13 +90,18 @@ def test_accepts_examples(machines):
     assert accepts(machine, "e")  # the empty word, as word_str prints it
     with pytest.raises(ParseError):
         accepts(machine, "sx")
+    # a letter out of range raises wherever it stands, even after a
+    # prefix that no run survives
+    for word in ((3,), (0, 0, 3)):
+        with pytest.raises(PreconditionError):
+            accepts(machine, word)
 
 
 def test_equivalence_scans(machines):
     for name, max_len in (("fig1", 6), ("triangle", 6), ("dinf", 12),
                           ("a3tilde", 5), ("single", 6)):
         system, machine, _ = machines[name]
-        report = equivalence_scan(machine, system, max_len)
+        report = equivalence_scan(machine, max_len)
         assert report.ok, f"{name}: mismatch at {report.first_mismatch}"
         assert report.words_checked == sum(
             system.n ** k for k in range(max_len + 1))
@@ -114,7 +120,7 @@ def test_canonical_runs_track_wall_states(machines, ball):
             T = tuple(sorted(chunk.parabolic))
             tr = by_parabolic.get((state, T))
             assert tr is not None
-            assert chunk.longest.nf in tr.labels
+            assert system.longest_element(tr.parabolic) is chunk.longest
             state = tr.target
             consumed = consumed * chunk.longest
         assert consumed == g
@@ -122,17 +128,15 @@ def test_canonical_runs_track_wall_states(machines, ball):
 
 
 def test_json_round_trip(machines):
+    """`from_json(to_json(m), system)` gives m back, its states,
+    transitions and system, on every group file and A~4."""
     system, machine, _ = machines["fig1"]
-    text = to_json(machine)
-    parsed = json.loads(text)
+    parsed = json.loads(to_json(machine))
     assert parsed["generators"] == list(system.matrix.names)
-    clone = from_json(text)
-    assert clone.states == machine.states
-    assert clone.start == machine.start
-    for k in range(5):
-        import itertools
-        for word in itertools.product(range(system.n), repeat=k):
-            assert accepts(clone, word) == accepts(machine, word)
+    for text in [*((GROUPS / f).read_text() for f in SHIPPED), A4TILDE]:
+        system = parse_system(text)
+        machine, _ = build(system)
+        assert from_json(to_json(machine), system) == machine
 
 
 @pytest.mark.parametrize("field,bad", [("labels", ["sx"]), ("w0", "x"),
@@ -142,7 +146,19 @@ def test_from_json_rejects_unknown_names(machines, field, bad):
     doc = json.loads(to_json(machine))
     doc["transitions"][0][field] = bad
     with pytest.raises(ParseError):
-        from_json(json.dumps(doc))
+        from_json(json.dumps(doc), machine.system)
+
+
+def test_from_json_rejects_other_generators(machines):
+    """A machine loads only into a system with its generators, in order."""
+    system, machine, _ = machines["fig1"]
+    doc = json.loads(to_json(machine))
+    for names in (["t", "s", "r"], ["s", "t"], ["s", "t", "r", "u"]):
+        doc["generators"] = names
+        with pytest.raises(ParseError):
+            from_json(json.dumps(doc), system)
+    with pytest.raises(ParseError):
+        from_json(to_json(machine), machines["triangle"][0])
 
 
 def test_dot_export_shape(machines):
@@ -228,13 +244,20 @@ def test_state_walls_are_small_roots(fname):
     (4, path_edges([3, 3, 3]), 120),                              # A4
     (4, {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 192),                  # D4
     (4, path_edges([3, 3, 4]), 384),                              # B4
+    (5, path_edges([3, 3, 3, 3]), 720),                           # A5
+    (5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3}, 1920),      # D5
+    (5, path_edges([3, 3, 3, 4]), 3840),                          # B5
 ], ids=["A~2", "C~2", "G~2", "A~3", "B~3", "C~3", "A~4",
-        "A3", "B3", "H3", "A4", "D4", "B4"])
+        "A3", "B3", "H3", "A4", "D4", "B4", "A5", "D5", "B5"])
 def test_state_count_closed_forms(rank, edges, count):
     """On an affine Weyl group of rank r and Coxeter number h, the states
     are the (h+1)^r regions of the Shi arrangement (Shi 1987); on a finite
-    group they are the |W| elements."""
-    assert build(diagram(rank, edges))[1].state_count == count
+    group they are the |W| elements.  Each machine is certified to length
+    6, A5, D5 and B5 included, whose w0 has too many reduced words to
+    list."""
+    fsa, report = build(diagram(rank, edges))
+    assert report.state_count == count
+    assert equivalence_scan(fsa, 6).ok
 
 
 @pytest.mark.parametrize("fname,max_len", [
@@ -247,40 +270,13 @@ def test_certificate_report_equals_the_word_loop(fname, max_len):
     system = parse_system((GROUPS / fname).read_text())
     fsa, _ = build(system)
     words = sum(system.n ** k for k in range(max_len + 1))
-    assert _certified(fsa, system, max_len, words)
+    assert _certified(fsa, max_len, words)
     for length in range(max_len + 1):
-        assert equivalence_scan(fsa, system, length) == \
-            _word_scan(fsa, system, length)
-
-
-def _first_with_two_labels(fsa):
-    return next(i for i, tr in enumerate(fsa.transitions)
-                if len(tr.labels) > 1)
+        assert equivalence_scan(fsa, length) == _word_scan(fsa, length)
 
 
 def _changed(fsa, i, tr):
     return fsa.transitions[:i] + (tr,) + fsa.transitions[i + 1:]
-
-
-def _drop_label(fsa):
-    i = _first_with_two_labels(fsa)
-    tr = fsa.transitions[i]
-    return _changed(fsa, i, tr._replace(labels=tr.labels[1:]))
-
-
-def _repeat_label(fsa):
-    """As many labels, one of them twice and another missing."""
-    i = _first_with_two_labels(fsa)
-    tr = fsa.transitions[i]
-    return _changed(fsa, i, tr._replace(labels=tr.labels[:1] + tr.labels[:-1]))
-
-
-def _misspell_label(fsa):
-    """A label of the right length and letters that does not spell w0."""
-    i = _first_with_two_labels(fsa)
-    tr = fsa.transitions[i]
-    wrong = (tr.parabolic[0],) * len(tr.w0_word)
-    return _changed(fsa, i, tr._replace(labels=tr.labels[:-1] + (wrong,)))
 
 
 def _drop_transition(fsa):
@@ -305,54 +301,85 @@ def _retarget(fsa):
                                         % len(fsa.states)))
 
 
-def _short_w0_word(fsa):
-    i = _first_with_two_labels(fsa)
-    tr = fsa.transitions[i]
-    return _changed(fsa, i, tr._replace(w0_word=tr.w0_word[:-1]))
-
-
-def _other_w0_word(fsa):
-    """Another reduced word of w0: the word loop reads only its length."""
-    i = _first_with_two_labels(fsa)
-    tr = fsa.transitions[i]
-    other = next(u for u in tr.labels if u != tr.w0_word)
-    return _changed(fsa, i, tr._replace(w0_word=other))
-
-
+# Mutations of the transition list, and whether the word loop still finds
+# the machine equivalent.
 _MUTATIONS = {
-    "label-dropped": (_drop_label, False),
-    "label-repeated": (_repeat_label, False),
-    "label-misspelt": (_misspell_label, False),
     "transition-dropped": (_drop_transition, False),
     "transition-duplicated": (_duplicate_transition, True),
     "transition-duplicated-for-dropped": (_duplicate_for_dropped, False),
     "retargeted": (_retarget, False),
-    "short-w0-word": (_short_w0_word, False),
-    "other-w0-word": (_other_w0_word, True),
+}
+
+
+def _drop_label(system, tr):
+    tr["labels"] = tr["labels"][1:]
+
+
+def _repeat_label(system, tr):
+    """As many labels, one of them twice and another missing."""
+    tr["labels"] = tr["labels"][:1] + tr["labels"][:-1]
+
+
+def _misspell_label(system, tr):
+    """A label of the right length and letters that does not spell w0."""
+    w0 = system.parse_word(tr["w0"])
+    tr["labels"][-1] = system.word_str((system.gen_index(tr["T"][0]),)
+                                       * len(w0))
+
+
+def _short_w0_word(system, tr):
+    tr["w0"] = system.word_str(system.parse_word(tr["w0"])[:-1])
+
+
+def _other_w0_word(system, tr):
+    """Another reduced word of w0, not its normal form."""
+    tr["w0"] = next(u for u in tr["labels"] if u != tr["w0"])
+
+
+# Mutations of what a transition's T determines.  A machine keeps only
+# its T's, so only a JSON document can carry these.
+_WRITTEN_MUTATIONS = {
+    "label-dropped": _drop_label,
+    "label-repeated": _repeat_label,
+    "label-misspelt": _misspell_label,
+    "short-w0-word": _short_w0_word,
+    "other-w0-word": _other_w0_word,
 }
 
 
 @pytest.mark.parametrize("fname,mutation", [
     *((fname, mutation)
       for fname in ("fig1.cox", "triangle_333.cox", "a3tilde.cox")
-      for mutation in _MUTATIONS),
+      for mutation in ("label-dropped", "label-repeated", "label-misspelt",
+                       "transition-dropped", "transition-duplicated",
+                       "transition-duplicated-for-dropped", "retargeted",
+                       "short-w0-word", "other-w0-word")),
     # Over two free generators every path length has two paths, as many
     # as the sphere, with "a" no longer accepted.
     ("dihedral_inf.cox", "transition-duplicated-for-dropped")])
 def test_mutated_machine_reports_as_the_word_loop(fname, mutation):
-    """A machine that is wrong, or only written differently, fails the
-    certificate, and the scan's report, first mismatch and word count
-    included, is the word loop's."""
-    mutate, loop_ok = _MUTATIONS[mutation]
+    """A machine that is wrong, or only written differently, is caught.
+    A changed transition list fails the certificate, and the scan's
+    report, first mismatch and word count included, is the word loop's.
+    A changed `w0` or label can only be written, and `from_json` refuses
+    it when it is loaded."""
     system = parse_system((GROUPS / fname).read_text())
     fsa, _ = build(system)
+    if mutation in _WRITTEN_MUTATIONS:
+        doc = json.loads(to_json(fsa))
+        tr = next(tr for tr in doc["transitions"] if len(tr["labels"]) > 1)
+        _WRITTEN_MUTATIONS[mutation](system, tr)
+        with pytest.raises(ParseError):
+            from_json(json.dumps(doc), system)
+        return
+    mutate, loop_ok = _MUTATIONS[mutation]
     bad = fsa._replace(transitions=mutate(fsa))
     max_len = 4 if system.n > 3 else 5
     words = sum(system.n ** k for k in range(max_len + 1))
-    assert not _certified(bad, system, max_len, words)
-    expected = _word_scan(bad, system, max_len)
+    assert not _certified(bad, max_len, words)
+    expected = _word_scan(bad, max_len)
     assert expected.ok == loop_ok
-    assert equivalence_scan(bad, system, max_len) == expected
+    assert equivalence_scan(bad, max_len) == expected
 
 
 def test_passing_certificate_checks_no_word(fig1, monkeypatch):
@@ -365,7 +392,7 @@ def test_passing_certificate_checks_no_word(fig1, monkeypatch):
 
     monkeypatch.setattr(automaton, "is_in_standard_language", refuse)
     monkeypatch.setattr(automaton, "_runner", refuse)
-    assert equivalence_scan(fsa, fig1, 8) == (8, 9841, None)
+    assert equivalence_scan(fsa, 8) == (8, 9841, None)
 
 
 def test_path_walk_takes_one_step_per_ball_element(fig1, monkeypatch):
@@ -376,9 +403,26 @@ def test_path_walk_takes_one_step_per_ball_element(fig1, monkeypatch):
     real = automaton.descent_data
     monkeypatch.setattr(automaton, "descent_data",
                         lambda h: steps.append(h) or real(h))
-    assert _certified(fsa, fig1, 8, 9841)
+    assert _certified(fsa, 8, 9841)
     assert len(steps) == len(set(steps)) == len(fig1.ball(8)) - 1
     steps.clear()
     bad = fsa._replace(transitions=fsa.transitions * 3)
-    assert not _certified(bad, fig1, 8, 9841)
+    assert not _certified(bad, 8, 9841)
     assert steps == []
+
+
+def test_build_and_scan_form_no_reduced_word(monkeypatch):
+    """A transition keeps only its T: building the machine and certifying
+    it list no reduced word; only `to_json` does."""
+    from coxlang import language
+
+    def refuse(*args):
+        raise AssertionError("reduced words were listed")
+
+    for module in (language, automaton):
+        monkeypatch.setattr(module, "reduced_words", refuse)
+    fig1 = parse_system((GROUPS / "fig1.cox").read_text())
+    fsa, _ = build(fig1)
+    assert equivalence_scan(fsa, 8) == (8, 9841, None)
+    with pytest.raises(AssertionError):
+        to_json(fsa)

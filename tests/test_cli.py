@@ -128,15 +128,22 @@ def test_automaton_state_cap(capsys):
 
 def test_automaton_exits_3_when_a_w0_has_too_many_reduced_words(capsys,
                                                                 tmp_path):
-    """w0 of A5 (a path of order-3 edges) has 292,864 reduced words, more
-    than a transition may list; their count says so before any is
-    formed."""
+    """w0 of A5 (a path of order-3 edges) has 292,864 reduced words.  A
+    transition keeps only its T, so the machine builds and certifies, with
+    one state per element; only the JSON, which lists every reduced word,
+    meets the cap, and says so before any word is formed."""
     names = "abcde"
     group = tmp_path / "a5.cox"
     group.write_text(f"generators {' '.join(names)}\n" + "".join(
         f"m {a} {b} {3 if j == i + 1 else 2}\n"
         for i, a in enumerate(names) for j, b in enumerate(names) if i < j))
-    code, out, err = run(capsys, "automaton", str(group))
+    code, out, _ = run(capsys, "automaton", str(group))
+    assert code == 0 and out.startswith("states: 720\n")
+    code, out, _ = run(capsys, "automaton", str(group), "--scan-len", "6")
+    assert code == 0
+    assert out.endswith("equivalent up to length 6 (19531 words)\n")
+    assert run(capsys, "automaton", str(group), "--format", "dot")[0] == 0
+    code, out, err = run(capsys, "automaton", str(group), "--format", "json")
     assert (code, out) == (3, "")
     assert err == "error: w0({a,b,c,d,e}) has more than 200000 reduced words\n"
 

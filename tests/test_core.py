@@ -452,6 +452,14 @@ def test_parabolic_orders_match_catalog(fig1, a3tilde):
         fig1.parabolic_elements({0, 1, 2}, max_elements=500)
 
 
+def test_parabolic_elements_of_a_repeated_letter(fig1):
+    """A letter given twice generates what it generates once: <s> has 2
+    elements and <s, t> 4, with no element listed twice."""
+    for T, order in (((0, 0), 2), ([0, 1, 1], 4), ((1, 0, 1), 4)):
+        members = fig1.parabolic_elements(T)
+        assert len(members) == len(set(members)) == order
+
+
 def _star(arms):
     """Edges (order 3) of a tree: node 0 with arms of the given lengths."""
     edges, nxt = {}, 1
