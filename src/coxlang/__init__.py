@@ -24,7 +24,7 @@ _NAMES = {
                  "check_prop_main", "chunk_decomposition", "descent_data",
                  "is_in_standard_language", "language_words",
                  "reduced_words"),
-    "walls": ("Wall", "conjugate_wall", "inversion_walls", "residue_walls",
+    "walls": ("Wall", "conjugate_wall", "inversion_walls",
               "separates_vertex_from_wall", "wall_from_root",
               "wall_of_generator", "wall_set", "walls_cross"),
 }

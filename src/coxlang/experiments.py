@@ -19,7 +19,7 @@ from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
                    Word, k_constant)
 from .errors import PreconditionError
 from .language import (_finite_pairs, _gate_chain, _signature, _witness,
-                       canonical_word, language_words)
+                       canonical_word, descent_data, language_words)
 
 Witness = tuple[Word, int]
 
@@ -117,48 +117,92 @@ def _better(value: int, wit: Witness, best: int, best_wit: Witness | None) -> bo
     return best_wit is None or wit < best_wit
 
 
-def _ascent_values(system, ball, sides, words, max_words) -> dict:
-    """Per side, (l(g), value, (nf(g), s)) for g in the ball and each ascent s.
+def _tail_value(system: CoxeterSystem, g: Element, gp: Element,
+                tails: dict) -> int:
+    """The value of the right-side pair (g, g' = g·s) from chunk tails.
+
+    can(x) = can(Pi(x)) + nf(w(x)), so the Pi chains form a tree rooted
+    at the identity.  Both canonical words start with can(c) for the last
+    element c the chains of g and g' share, and the difference is the
+    identity along it.  So the value is that of the words the chunks above
+    c spell on each side, which follow from their longest elements; it is
+    kept in `tails` per pair of those sequences.  No canonical word is
+    formed.
+    """
+    if len(gp._rdesc or gp.right_descents()) == 1:
+        return 1  # T(g') = {s}, so Pi(g') = g and the one chunk above is s
+    # The longer side steps down its chain until the two sides meet.
+    a, b, la, lb = g, gp, g.length, g.length + 1
+    top, top_p = [], []
+    while a is not b:
+        if la >= lb:
+            _, w, a = a._descent or descent_data(a)
+            top.append(w)
+            la -= len(w._nf or w.nf)
+        else:
+            _, w, b = b._descent or descent_data(b)
+            top_p.append(w)
+            lb -= len(w._nf or w.nf)
+    key = (*top, None, *top_p)
+    value = tails.get(key)
+    if value is None:
+        value = tails[key] = _pair_value(
+            system, tuple(s for w in reversed(top) for s in w.nf),
+            tuple(s for w in reversed(top_p) for s in w.nf), None)
+    return value
+
+
+def _ascent_values(system, ball, side, words, max_words):
+    """(l(g), value, (nf(g), s)) for g in the ball and each ascent s, in
+    ball order.
 
     Side "right" compares g with g·s; side "left" compares g with s·g,
     shifting the prefixes of g by s.  In "all" mode the value is the worst
     over every pair of standard-language words, else that of the canonical
-    words.
+    words, which on the right side is read from the chunk tails.
     """
+    right = side == "right"
     if words == "all":
         def value(g, gp, shift):
             return max(_pair_value(system, v, vp, shift)
                        for v in language_words(g, max_words)
                        for vp in language_words(gp, max_words))
+    elif right:
+        tails = {}
+
+        def value(g, gp, shift):
+            return _tail_value(system, g, gp, tails)
     else:
         def value(g, gp, shift):
             return _pair_value(system, g._canonical or canonical_word(g),
                                gp._canonical or canonical_word(gp), shift)
     n = system.n
-    out = {}
-    for side in sides:
-        right = side == "right"
-        entries = out[side] = []
-        for g in ball:
-            desc = g.right_descents() if right else g.left_descents()
-            for s in range(n):
-                if s not in desc:
-                    if right:
-                        gp = g._steps[s] or system.mul_gen(g, s)
-                    else:
-                        gp = g._steps[n + s] or system.gen_mul(s, g)
-                    val = value(g, gp, None if right else s)
-                    entries.append((g.length, val, (g.nf, s)))
-    return out
+    for g in ball:
+        desc = g.right_descents() if right else g.left_descents()
+        for s in range(n):
+            if s not in desc:
+                if right:
+                    gp = g._steps[s] or system.mul_gen(g, s)
+                else:
+                    gp = g._steps[n + s] or system.gen_mul(s, g)
+                yield g.length, value(g, gp, None if right else s), (g.nf, s)
 
 
-def _best(entries, radius: int | None = None) -> tuple[int, Witness | None]:
-    """The largest value with l(g) <= radius, least witness among ties."""
-    best, wit = 0, None
+def _running_bests(entries, radii) -> list[tuple[int, Witness | None]]:
+    """Per radius r, the largest value with l(g) <= r, least witness
+    among ties.
+
+    The entries come in ball order, whose lengths never decrease, so the
+    row for r is closed by the first entry longer than r.
+    """
+    rows, best, wit = [], 0, None
     for length, val, witness in entries:
-        if (radius is None or length <= radius) and _better(val, witness, best, wit):
+        while len(rows) < len(radii) and length > radii[len(rows)]:
+            rows.append((best, wit))
+        if _better(val, witness, best, wit):
             best, wit = val, witness
-    return best, wit
+    rows.extend((best, wit) for _ in radii[len(rows):])
+    return rows
 
 
 def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
@@ -176,9 +220,10 @@ def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     ball = system.ball(radius, max_ball)
-    values = _ascent_values(system, ball, ("right", "left"), words, max_words)
-    max_ii, wit_ii = _best(values["right"])
-    max_iii, wit_iii = _best(values["left"])
+    (max_ii, wit_ii), = _running_bests(
+        _ascent_values(system, ball, "right", words, max_words), (radius,))
+    (max_iii, wit_iii), = _running_bests(
+        _ascent_values(system, ball, "left", words, max_words), (radius,))
     k = k_constant(system)
     two_dim = system.is_two_dimensional()
     bound_ok = (max_ii <= 5 * k) if two_dim else None
@@ -198,10 +243,11 @@ def divergence_scan(system: CoxeterSystem, radii,
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly increasing")
     ball = system.ball(radii[-1], max_ball)
-    entries = _ascent_values(system, ball, ("right",), "canonical",
-                             DEFAULT_WORD_CAP)["right"]
-    return DivergenceTable(tuple(DivergenceRow(radius, *_best(entries, radius))
-                                 for radius in radii))
+    entries = _ascent_values(system, ball, "right", "canonical",
+                             DEFAULT_WORD_CAP)
+    return DivergenceTable(tuple(
+        DivergenceRow(radius, *row)
+        for radius, row in zip(radii, _running_bests(entries, radii))))
 
 
 def prop_main_scan(system: CoxeterSystem, radius: int,

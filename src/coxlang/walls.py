@@ -176,12 +176,3 @@ def wall_set(g: Element) -> frozenset[Wall]:
     """
     return frozenset(conjugate_wall(g, w) for w in pulled_wall_set(g))
 
-
-def residue_walls(system: CoxeterSystem, g: Element, T) -> frozenset[Wall]:
-    """The walls separating some pair of chambers of the residue g<T>."""
-    w0 = system.longest_element(T)  # raises InfiniteParabolicError
-    base = frozenset(inversion_walls(w0))
-    if len(base) != w0.length:
-        raise InvariantViolation("residue wall count != l(w0)")
-    gate = system.residue_gate(g, T)
-    return frozenset(conjugate_wall(gate, w) for w in base)

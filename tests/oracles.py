@@ -5,8 +5,8 @@ library internals: word rewriting instead of the linear representation,
 sign sampling instead of bilinear-form tests, generating-function counts
 instead of graph search, and the plain loops that a library shortcut
 replaced.  The library has no caller of any of them: word-rewriting
-lengths (`tits_reduce`), chamber sides, and the `Scalar` wrapper over raw
-field vectors live here.
+lengths (`tits_reduce`), chamber sides, residue walls, and the `Scalar`
+wrapper over raw field vectors live here.
 """
 
 import functools
@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from coxlang import walls as wl
 from coxlang.core import INF
-from coxlang.errors import (FieldMismatchError, PreconditionError,
-                            ResourceLimitError)
+from coxlang.errors import (FieldMismatchError, InvariantViolation,
+                            PreconditionError, ResourceLimitError)
 from coxlang.language import descent_data
 
 DEFAULT_ORACLE_LETTERS = 10
@@ -365,6 +365,29 @@ def pair_value(system, v, vp, s):
             d = system.mul_gen(d, vp[i])
         best = max(best, d.length)
     return best
+
+
+def best(entries, radius=None):
+    """The largest value with l(g) <= radius, least witness among ties,
+    over a list of (l(g), value, witness) entries: the list-based maximum
+    the scans replaced by running bests."""
+    top, wit = 0, None
+    for length, val, witness in entries:
+        if radius is not None and length > radius:
+            continue
+        if val > top or (val == top and (wit is None or witness < wit)):
+            top, wit = val, witness
+    return top, wit
+
+
+def residue_walls(system, g, T):
+    """The walls separating some pair of chambers of the residue g<T>."""
+    w0 = system.longest_element(T)  # raises InfiniteParabolicError
+    base = frozenset(wl.inversion_walls(w0))
+    if len(base) != w0.length:
+        raise InvariantViolation("residue wall count != l(w0)")
+    gate = system.residue_gate(g, T)
+    return frozenset(wl.conjugate_wall(gate, w) for w in base)
 
 
 def residue_witness(g, g_prime, pairs):

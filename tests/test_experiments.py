@@ -1,17 +1,22 @@
 """Fellow-traveller scans, divergence tables, residue witness scans."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from coxlang import (CoxeterSystem, PreconditionError, ResourceLimitError,
                      divergence_scan, ft_pair_divergence, ft_scan, k_constant,
                      parse_system, prop_main_scan)
-from conftest import GROUPS
-from coxlang.experiments import (_pair_value, divergence_tsv, ft_text, ft_tsv,
-                                 prop_text, prop_tsv)
-from coxlang.language import canonical_word
+from conftest import GROUPS, diagram, path_edges
+from coxlang import experiments
+from coxlang.experiments import (_pair_value, _tail_value, divergence_tsv,
+                                 ft_text, ft_tsv, prop_text, prop_tsv)
+from coxlang.language import (canonical_word, chunk_decomposition,
+                              descent_data)
 import oracles
+
+SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
 
 def test_k_constants(fig1, a3tilde, triangle, dinf, single):
@@ -101,6 +106,107 @@ def test_canonical_words_and_pair_values_match_oracles(fig1, a3tilde, h237,
                     assert vp == oracles.canonical_word(gp)
                     assert (_pair_value(system, v, vp, shift)
                             == oracles.pair_value(system, v, vp, shift))
+
+
+def _shipped_or_a4(name):
+    if name == "A~4":
+        return diagram(5, {**path_edges([3, 3, 3, 3]), (0, 4): 3})
+    return parse_system((GROUPS / name).read_text())
+
+
+def _right_ascents(system, ball):
+    return [(g, s, system.mul_gen(g, s)) for g in ball
+            for s in range(system.n) if s not in g.right_descents()]
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["A~4"])
+def test_tail_values_equal_the_public_oracle(name):
+    """Every right-ascent value read from chunk tails against the canonical
+    words compared letter by letter, in a fresh system."""
+    system = _shipped_or_a4(name)
+    tails = {}
+    ball = system.ball(6 if name == "A~4" else 8)
+    for g, s, gs in _right_ascents(system, ball):
+        assert (_tail_value(system, g, gs, tails)
+                == ft_pair_divergence(g, gs, "right", s)), (g, s)
+
+
+def _reference_entries(system, ball, mode):
+    """(l(g), value, (nf(g), s)) per ascent, from the public oracle."""
+    out = []
+    for g in ball:
+        for s in range(system.n):
+            gs = (system.mul_gen(g, s) if mode == "right"
+                  else system.gen_mul(s, g))
+            if gs.length > g.length:
+                out.append((g.length, ft_pair_divergence(g, gs, mode, s),
+                            (g.nf, s)))
+    return out
+
+
+@pytest.mark.parametrize("name, radii", [
+    ("a3tilde.cox", (0, 3, 7)), ("dihedral_inf.cox", (0, 1, 4, 9)),
+    ("fig1.cox", (0, 2, 5, 8)), ("single.cox", (0, 5, 9)),
+    ("triangle_237.cox", (0, 4, 8)), ("triangle_245.cox", (1, 6)),
+    ("triangle_333.cox", (0, 2, 3, 7))])
+def test_streamed_rows_equal_the_list_reference(name, radii):
+    """Divergence rows and ft_scan maxima against the list-based best over
+    every entry, at radius 0, with gaps between radii, and past the
+    longest element of a finite group."""
+    system = parse_system((GROUPS / name).read_text())
+    ball = system.ball(radii[-1])
+    right = _reference_entries(system, ball, "right")
+    left = _reference_entries(system, ball, "left")
+    table = divergence_scan(system, radii)
+    assert [row.radius for row in table.rows] == list(radii)
+    for row, radius in zip(table.rows, radii):
+        assert (row.max_divergence, row.witness) == oracles.best(right, radius)
+        report = ft_scan(system, radius)
+        assert (report.max_ii, report.witness_ii) == oracles.best(right, radius)
+        assert (report.max_iii, report.witness_iii) == oracles.best(left, radius)
+
+
+def _chunk_tails(g, gs):
+    """The longest elements of the chunks of g and g·s above the last
+    element their Pi chains share, from `chunk_decomposition`."""
+    mine, theirs = chunk_decomposition(g), chunk_decomposition(gs)
+    shared = 0
+    while (shared < min(len(mine), len(theirs))
+           and mine[-1 - shared] == theirs[-1 - shared]):
+        shared += 1
+    return (tuple(c.longest for c in mine[:len(mine) - shared]),
+            tuple(c.longest for c in theirs[:len(theirs) - shared]))
+
+
+def test_a3tilde_divergence_walks_each_chunk_tail_pair_once(monkeypatch):
+    """The mechanism behind the A~3 scan: one pair walk per distinct pair
+    of chunk tails, no canonical word kept on any element, and a bounded
+    allocation peak."""
+    system = parse_system((GROUPS / "a3tilde.cox").read_text())
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _pair_value(*args)
+
+    monkeypatch.setattr(experiments, "_pair_value", counted)
+    tracemalloc.start()
+    try:
+        table = divergence_scan(system, (8, 12, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.max_divergence for row in table.rows] == [6, 6, 8]
+    ball = system.ball(16)
+    assert not any(g._canonical for g in ball)
+    pairs = _right_ascents(system, ball)
+    # A pair with Pi(g·s) = g has the value 1 without a walk.
+    walked = {_chunk_tails(g, gs) for g, s, gs in pairs
+              if descent_data(gs)[2] is not g}
+    assert len(pairs) == 6596
+    assert calls == len(walked) <= 1000
+    assert peak < 3.5 * 2**20
 
 
 def test_ft_scan_fig1_frozen(fig1):

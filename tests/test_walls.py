@@ -16,7 +16,7 @@ from coxlang import CoxeterSystem, PreconditionError, parse_system
 from coxlang import walls as wl
 from conftest import GROUPS
 from oracles import (FAR, NEAR, chamber_next_to, chamber_separates,
-                     nearest_walls, side, sign_pattern_cross)
+                     nearest_walls, residue_walls, side, sign_pattern_cross)
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -332,11 +332,11 @@ def test_separation_requires_distinct_walls(fig1):
 
 def test_residue_wall_counts(fig1, a3tilde):
     g = fig1.element("strst")
-    assert len(wl.residue_walls(fig1, g, {0})) == 1
-    assert len(wl.residue_walls(fig1, g, {0, 1})) == 2
-    assert len(wl.residue_walls(fig1, g, {0, 2})) == 4
+    assert len(residue_walls(fig1, g, {0})) == 1
+    assert len(residue_walls(fig1, g, {0, 1})) == 2
+    assert len(residue_walls(fig1, g, {0, 2})) == 4
     h = a3tilde.element("prs")
-    assert len(wl.residue_walls(a3tilde, h, {0, 1, 2})) == 6
+    assert len(residue_walls(a3tilde, h, {0, 1, 2})) == 6
 
 
 def test_residue_walls_match_edge_walls(fig1, ball):
@@ -350,10 +350,10 @@ def test_residue_walls_match_edge_walls(fig1, ball):
                 for t in T:
                     edge_walls.add(
                         wl.conjugate_wall(h, wl.wall_of_generator(fig1, t)))
-            assert edge_walls == set(wl.residue_walls(fig1, g, T))
+            assert edge_walls == set(residue_walls(fig1, g, T))
 
 
 def test_residue_walls_identity_are_longest_element_inversions(fig1):
-    walls = wl.residue_walls(fig1, fig1.identity, {0, 2})
+    walls = residue_walls(fig1, fig1.identity, {0, 2})
     w0 = fig1.longest_element({0, 2})
     assert set(walls) == set(wl.inversion_walls(w0))
