@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 _NAMES = {
     "automaton": ("BuildReport", "EquivalenceReport", "ResidueFsa",
-                  "Transition", "accepts", "build", "equivalence_scan",
-                  "from_json", "to_dot", "to_json"),
+                  "Transition", "accepts", "build", "check_append_lemma",
+                  "equivalence_scan", "from_json", "to_dot", "to_json"),
     "core": ("INF", "CoxeterMatrix", "CoxeterSystem", "Element", "Word",
              "k_constant", "parse_system"),
     "errors": ("CoxeterError", "FieldMismatchError", "InfiniteParabolicError",
@@ -20,8 +20,8 @@ _NAMES = {
     "experiments": ("DivergenceRow", "DivergenceTable", "FtReport",
                     "PropMainReport", "divergence_scan", "ft_pair_divergence",
                     "ft_scan", "prop_main_scan"),
-    "language": ("Chunk", "canonical_word", "check_append_lemma",
-                 "check_prop_main", "chunk_decomposition", "descent_data",
+    "language": ("Chunk", "canonical_word", "check_prop_main",
+                 "chunk_decomposition", "descent_data",
                  "is_in_standard_language", "language_words",
                  "reduced_words"),
     "walls": ("Wall", "conjugate_wall", "inversion_walls",

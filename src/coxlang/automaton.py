@@ -5,9 +5,10 @@ of a language word leaves the machine in the state g^-1·W(g), where g is
 the element spelled so far, and each such wall is a small root.  A
 transition keeps only a finite parabolic T and consumes one whole chunk:
 any word of l(w0(T)) letters that spells w0(T), the longest element of T.
-It is allowed precisely when no generator wall of T, and no far-side
-image of an outside generator wall, is blocked by the current set.  All
-states accept; the start state is the empty set.
+It is allowed precisely when the current set holds no generator wall of
+T and no far-side image of an outside generator wall: the right side of
+the append lemma (`check_append_lemma`).  All states accept; the start
+state is the empty set.
 
 The state space is discovered by breadth-first closure rather than given a
 priori, so construction needs no global constants.  `equivalence_scan`
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import CoxeterSystem, Element, Word, parse_word
+from .core import CoxeterSystem, Element, Word
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .language import descent_data, is_in_standard_language, reduced_words
 from .walls import (Wall, conjugate_wall, inversion_walls, pulled_wall_set,
@@ -83,21 +84,40 @@ def wall_state_key(system: CoxeterSystem, g: Element) -> tuple[str, ...]:
     return _render(system, [pulled_wall_set(g)])[0][0]
 
 
+def _chunk_walls(system: CoxeterSystem, T) -> tuple:
+    """For a spherical T, kept on the system: the walls that block a T
+    transition, which are the images of the generator walls under w0(T);
+    the walls of <T>; and the small roots' images under w0(T) that are
+    small, since state walls are small."""
+    T = frozenset(T)
+    table = system._chunk_walls.get(T)
+    if table is None:
+        w0, small = system.longest_element(T), small_roots(system)
+        images = {a: conjugate_wall(w0, a) for a in small}
+        blocked = frozenset(images[wall_of_generator(system, t)]
+                            for t in range(system.n))
+        table = system._chunk_walls[T] = (
+            blocked, frozenset(inversion_walls(w0)),
+            {a: b for a, b in images.items() if b in small})
+    return table
+
+
+def check_append_lemma(g: Element, T) -> tuple[bool, bool]:
+    """Both sides of the descent-set append criterion, for a spherical T:
+    g·w0(T) has descent set exactly T, and g's state, its pulled-back wall
+    set, holds no wall that blocks a T transition.  The lemma is that the
+    two agree."""
+    system = g.system
+    h = system.mul_word(g, system.longest_element(T).nf)
+    return (descent_data(h)[0] == frozenset(T),
+            pulled_wall_set(g).isdisjoint(_chunk_walls(system, T)[0]))
+
+
 def build(system: CoxeterSystem,
           max_states: int = 10_000) -> tuple[ResidueFsa, BuildReport]:
     """Breadth-first state discovery from the empty wall set."""
-    subsets = system.spherical_subsets()
-    small = small_roots(system)
-    chunk = {}
-    for T in subsets:
-        w0 = system.longest_element(T)
-        # w0 permutes the generator walls of T, and takes each outside
-        # generator wall to its far-side image.  State walls are small.
-        images = {a: conjugate_wall(w0, a) for a in small}
-        blocked = {images[wall_of_generator(system, t)] for t in range(system.n)}
-        images = {a: b for a, b in images.items() if b in small}
-        chunk[T] = (blocked, frozenset(inversion_walls(w0)), images)
-
+    chunks = [(T, *_chunk_walls(system, T))
+              for T in system.spherical_subsets()]
     start: frozenset[Wall] = frozenset()
     states = [start]
     index = {start: 0}
@@ -105,8 +125,7 @@ def build(system: CoxeterSystem,
     pos = 0
     while pos < len(states):
         walls = states[pos]
-        for T in subsets:
-            blocked, rwalls, images = chunk[T]
+        for T, blocked, rwalls, images in chunks:
             if not walls.isdisjoint(blocked):
                 continue
             target_walls = rwalls.union(images[a] for a in images.keys() & walls)
@@ -177,10 +196,10 @@ def _certified(fsa: ResidueFsa, max_len: int, max_elements: int) -> bool:
     1. Each transition's T is spherical, and no other transition leaves
        its source on the same T.
     2. Each accepted chunk path from the start, of total length <=
-       max_len, spells g_0 = 1, g_1, ..., with descent_data(g_i) ==
-       (T_i, w0(T_i), g_{i-1}) at every step: the path is the chunk
-       decomposition of its last element, and that element's length is
-       the path's length.
+       max_len, spells g_0 = 1, g_1, ..., with T(g_i) == T_i, the append
+       lemma's left side, so g_i's descent data is (T_i, w0(T_i), g_{i-1})
+       at every step: the path is the chunk decomposition of its last
+       element, and that element's length is the path's length.
     3. The paths of each length are as many as the elements of that
        length in the ball.
 
@@ -215,8 +234,7 @@ def _certified(fsa: ResidueFsa, max_len: int, max_elements: int) -> bool:
         for T, (w0, target) in by_source.get(state, {}).items():
             if length + w0.length <= max_len:
                 h = system.mul_word(g, w0.nf)
-                T_h, w_h, pi_h = descent_data(h)
-                if w_h is not w0 or pi_h is not g or T_h != T:
+                if descent_data(h)[0] != T:
                     return False
                 stack.append((target, h, length + w0.length))
     return paths == spheres
@@ -291,23 +309,53 @@ def to_json(fsa: ResidueFsa) -> str:
 
 def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
     """The machine `to_json` wrote for `system`.  Raises ParseError unless
-    the generators are the system's and each transition has a spherical T
-    and is written as `to_json` writes it, `w0` and `labels` included."""
+    the text is a JSON object with the four keys `to_json` writes, the
+    generators are the system's, each state is a list of words over them,
+    `start` and each transition's `from` and `to` index a state, and each
+    transition has a spherical T and is written as `to_json` writes it,
+    `w0` and `labels` included."""
     import json
 
-    doc = json.loads(text)
-    names = system.matrix.names
-    if tuple(doc["generators"]) != names:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(0, f"not JSON: {exc}")
+    if not isinstance(doc, dict) or doc.keys() != {
+            "generators", "states", "transitions", "start"}:
+        raise ParseError(0, "not an object with the keys generators, "
+                            "states, transitions and start")
+    if doc["generators"] != list(system.matrix.names):
         raise ParseError(0, f"generators {doc['generators']} differ")
+    states, written_trs = doc["states"], doc["transitions"]
+    if not isinstance(states, list) or not all(
+            isinstance(st, list) and all(isinstance(w, str) for w in st)
+            for st in states):
+        raise ParseError(0, "a state is not a list of words")
+    for st in states:
+        for w in st:
+            system.parse_word(w)
+
+    def is_state(i) -> bool:
+        return type(i) is int and 0 <= i < len(states)
+
+    if not is_state(doc["start"]):
+        raise ParseError(0, f"start {doc['start']!r} is not a state")
+    if not isinstance(written_trs, list):
+        raise ParseError(0, "transitions are not a list")
     spherical = set(system.spherical_subsets())
     transitions = []
-    for i, written in enumerate(doc["transitions"]):
-        tr = Transition(written["from"], parse_word(names, " ".join(
-            written["T"])), written["to"])
+    for i, written in enumerate(written_trs):
+        try:
+            tr = Transition(written["from"], system.parse_word(
+                " ".join(written["T"])), written["to"])
+        except (TypeError, KeyError):
+            raise ParseError(0, f"transition {i} is not written by to_json")
+        if not (is_state(tr.source) and is_state(tr.target)):
+            raise ParseError(0, f"transition {i} joins no two states")
         if tr.parabolic not in spherical or _json_of(system, tr) != written:
             raise ParseError(0, f"transition {i} does not match its T")
         transitions.append(tr)
-    states = tuple(tuple(st) for st in doc["states"])
+    states = tuple(tuple(st) for st in states)
     return ResidueFsa(system, states, tuple(transitions), doc["start"])
 
 
@@ -324,7 +372,7 @@ def to_dot(fsa: ResidueFsa) -> str:
              '  __start [shape=none, label=""];',
              f"  __start -> q{fsa.start};"]
     for i, st in enumerate(fsa.states):
-        depth = max((len(parse_word(names, w)) for w in st), default=0)
+        depth = max((len(system.parse_word(w)) for w in st), default=0)
         label = _dot_label(f"{i}: {len(st)} walls, depth {depth}")
         lines.append(f"  q{i} [{label}];")
     for tr in fsa.transitions:

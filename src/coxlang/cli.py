@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean, 1 an asserted invariant failed (equivalence mismatch,
 5K bound violation, missing residue witness), 2 usage or parse problems
-(an unreadable group file or an unwritable output file included), 3 a
-resource cap was hit.
+(an unreadable group file, an unwritable output file, and output that
+stdout's encoding cannot hold included), 3 a resource cap was hit.
+Output files are written in UTF-8, as group files are read.
 
 Each command imports the modules it runs inside its handler, so a process
 compiles and loads only those: `info` needs no more than `core`.
@@ -39,7 +40,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(args.output, "w") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise PreconditionError(f"cannot write output file: {exc}")
@@ -239,6 +240,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_FINDING
+    except UnicodeEncodeError as exc:
+        print(f"error: cannot encode output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CoxeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

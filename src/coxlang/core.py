@@ -53,7 +53,6 @@ compare and hash by identity.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import add, neg
 
 from .errors import (InfiniteParabolicError, InvariantViolation, ParseError,
@@ -115,42 +114,6 @@ class CoxeterMatrix:
                 if self.orders[i][j] != INF]
 
 
-@lru_cache
-def _separator(names: tuple[str, ...]) -> str:
-    """How words over these names are joined, decided once per names."""
-    return "" if all(len(nm) == 1 for nm in names) else " "
-
-
-def word_str(names, word: Word) -> str:
-    """A word as text: "e" if empty, letters joined by spaces unless all
-    generator names are one character long."""
-    if not word:
-        return "e"
-    return _separator(names).join([names[s] for s in word])
-
-
-def parse_word(names, text: str) -> Word:
-    """Parse a word: space-separated names, or concatenated one-letter names.
-
-    "e" is the empty word, as word_str prints it, unless a generator is
-    named "e".  Raises ParseError on an unknown name.
-    """
-    index = {nm: i for i, nm in enumerate(names)}
-    text = text.strip()
-    if not text or (text == "e" and "e" not in index):
-        return ()
-    if any(ch.isspace() for ch in text):
-        parts = text.split()
-    elif all(len(nm) == 1 for nm in names):
-        parts = list(text)
-    else:
-        parts = [text]
-    for p in parts:
-        if p not in index:
-            raise ParseError(0, f"unknown generator {p!r}")
-    return tuple(index[p] for p in parts)
-
-
 class CoxeterSystem:
     """A Coxeter matrix together with its exact geometric representation."""
 
@@ -198,11 +161,14 @@ class CoxeterSystem:
                 raise InvariantViolation("generator matrix is not an involution")
 
         self._index = {name: i for i, name in enumerate(matrix.names)}
+        # Words are joined by spaces unless every name is one character.
+        self._sep = "" if all(len(nm) == 1 for nm in matrix.names) else " "
         self._w0_cache: dict[frozenset, Element] = {}
         self._finite_cache: dict[frozenset, bool] = {}
         self._reduced_words: dict[frozenset, tuple[Word, ...]] = {}
         self._chain_counts: dict[frozenset, int] = {}
         self._small_roots: frozenset | None = None
+        self._chunk_walls: dict[frozenset, tuple] = {}
         self._spherical: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
@@ -368,11 +334,30 @@ class CoxeterSystem:
     # ----- words ---------------------------------------------------------
 
     def parse_word(self, text: str) -> Word:
-        """Parse a word over this system's generators (see `parse_word`)."""
-        return parse_word(self.matrix.names, text)
+        """Parse a word: space-separated names, or concatenated one-letter
+        names.
+
+        "e" is the empty word, as `word_str` prints it, unless a generator
+        is named "e".  Raises ParseError on an unknown name.
+        """
+        text = text.strip()
+        if not text or (text == "e" and "e" not in self._index):
+            return ()
+        if any(ch.isspace() for ch in text):
+            parts = text.split()
+        elif not self._sep:
+            parts = list(text)
+        else:
+            parts = [text]
+        return tuple(map(self.gen_index, parts))
 
     def word_str(self, word: Word) -> str:
-        return word_str(self.matrix.names, word)
+        """A word as text: "e" if empty, letters joined by spaces unless all
+        generator names are one character long."""
+        if not word:
+            return "e"
+        names = self.matrix.names
+        return self._sep.join([names[s] for s in word])
 
     def gen_index(self, name: str) -> int:
         if name not in self._index:

@@ -5,7 +5,8 @@ longest element of that parabolic and Pi(g) = g·w(g) is strictly shorter.
 Iterating Pi cuts g into chunks, and the standard language consists of the
 geodesic words that spell, suffix-first, a reduced word of each successive
 chunk.  Membership, the canonical representative, chunk enumeration, and
-two executable lemma checks live here.
+the residue witness check of the main proposition live here; the append
+lemma, which decides the automaton's transitions, lives in `automaton`.
 """
 
 from __future__ import annotations
@@ -167,32 +168,6 @@ def language_words(g: Element, max_words: int = DEFAULT_WORD_CAP) -> tuple[Word,
                 f"language word count exceeds cap {max_words}")
     return tuple(tuple(itertools.chain.from_iterable(combo))
                  for combo in itertools.product(*chunk_words))
-
-
-def check_append_lemma(g: Element, T) -> tuple[bool, bool]:
-    """Both sides of the descent-set append criterion.
-
-    lhs: appending w0(T) to g yields an element with descent set exactly T.
-    rhs: T is disjoint from T(g), and for every t outside T the wall dual
-    to the edge (g·w0, g·w0·t) avoids the wall set of g.
-    Equivalence of the two is the tested lemma.
-    """
-    from .walls import conjugate_wall, wall_of_generator, wall_set
-
-    system = g.system
-    T = frozenset(T)
-    w0 = system.longest_element(T)
-    gw = system.mul_word(g, w0.nf)
-    lhs = gw.right_descents() == T
-    if T & g.right_descents():
-        return lhs, False
-    Wg = wall_set(g)
-    for t in range(system.n):
-        if t in T:
-            continue
-        if conjugate_wall(gw, wall_of_generator(system, t)) in Wg:
-            return lhs, False
-    return lhs, True
 
 
 def _pi_chain(g: Element, steps: int) -> list[Element]:

@@ -5,8 +5,9 @@ library internals: word rewriting instead of the linear representation,
 sign sampling instead of bilinear-form tests, generating-function counts
 instead of graph search, and the plain loops that a library shortcut
 replaced.  The library has no caller of any of them: word-rewriting
-lengths (`tits_reduce`), chamber sides, residue walls, and the `Scalar`
-wrapper over raw field vectors live here.
+lengths (`tits_reduce`), chamber sides, residue walls, the append lemma's
+right side read forward, and the `Scalar` wrapper over raw field vectors
+live here.
 """
 
 import functools
@@ -378,6 +379,22 @@ def best(entries, radius=None):
         if val > top or (val == top and (wit is None or witness < wit)):
             top, wit = val, witness
     return top, wit
+
+
+def append_lemma_rhs(g, subsets):
+    """The append lemma's right side for each T of `subsets`, read forward
+    at g: T is disjoint from T(g), and for every t outside T the wall dual
+    to the edge (g·w0(T), g·w0(T)·t) is not a wall of g.  The library
+    reads it pulled back to the identity, as the automaton's transition
+    test."""
+    system, descents, walls = g.system, g.right_descents(), wl.wall_set(g)
+    allowed = {}
+    for T in subsets:
+        gw = system.mul_word(g, system.longest_element(T).nf)
+        allowed[T] = descents.isdisjoint(T) and all(
+            wl.conjugate_wall(gw, wl.wall_of_generator(system, t)) not in walls
+            for t in range(system.n) if t not in T)
+    return allowed
 
 
 def residue_walls(system, g, T):

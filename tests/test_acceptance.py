@@ -30,8 +30,8 @@ from coxlang import (
     walls_cross,
 )
 from coxlang.scalar import _field
-from oracles import (Scalar, rewriting_pair_value, sign_pattern_cross,
-                     tits_reduce, two_cos)
+from oracles import (Scalar, append_lemma_rhs, rewriting_pair_value,
+                     sign_pattern_cross, tits_reduce, two_cos)
 
 # Cap on the words the rewriting oracle reduces: the pair values checked
 # here reach 10, and the oracle's words run two letters past that.
@@ -101,17 +101,20 @@ def test_c3_canonical_words_sound(fig1, triangle, dinf, a3tilde, single, ball):
 
 
 def test_c4_append_lemma_equivalence(fig1, a3tilde, ball):
+    """The library's right side is the automaton's transition test; the
+    oracle's reads the same walls forward at g."""
     checked = 0
     for system in (fig1, a3tilde):
         finite = [T for r in range(system.n + 1)
                   for T in itertools.combinations(range(system.n), r)
                   if system.is_finite_parabolic(T)]
         for g in ball(system, 6):
+            forward = append_lemma_rhs(g, finite)
             for T in finite:
                 lhs, rhs = check_append_lemma(g, frozenset(T))
-                assert lhs == rhs, (system.word_str(g.nf), T)
+                assert lhs == rhs == forward[T], (system.word_str(g.nf), T)
                 checked += 1
-    print(f"\nC4 PASS: lhs == rhs on {checked} (g, T) pairs")
+    print(f"\nC4 PASS: lhs == rhs == forward rhs on {checked} (g, T) pairs")
 
 
 def test_c5_fellow_traveller_bounds(fig1, triangle):

@@ -6,8 +6,9 @@ import re
 import pytest
 
 from coxlang import (ParseError, PreconditionError, ResourceLimitError,
-                     accepts, build, canonical_word, equivalence_scan,
-                     from_json, parse_system, to_dot, to_json)
+                     accepts, build, canonical_word, check_append_lemma,
+                     equivalence_scan, from_json, parse_system, to_dot,
+                     to_json)
 from coxlang import automaton
 from coxlang.automaton import _certified, _word_scan, wall_state_key
 from coxlang.walls import inversion_walls, small_roots
@@ -159,6 +160,59 @@ def test_from_json_rejects_other_generators(machines):
             from_json(json.dumps(doc), system)
     with pytest.raises(ParseError):
         from_json(to_json(machine), machines["triangle"][0])
+
+
+# Each refused document differs from one `to_json` wrote in one place.
+_NOT_WRITTEN = {
+    "to-999": lambda doc: doc["transitions"][0].update(to=999),
+    "from-negative": lambda doc: doc["transitions"][0].update({"from": -1}),
+    "to-true": lambda doc: doc["transitions"][0].update(to=True),
+    "start-77": lambda doc: doc.update(start=77),
+    "start-string": lambda doc: doc.update(start="0"),
+    "missing-start": lambda doc: doc.pop("start"),
+    "extra-key": lambda doc: doc.update(final=[0]),
+    "missing-to": lambda doc: doc["transitions"][0].pop("to"),
+    "transition-list": lambda doc: doc["transitions"].append([0, ["s"], 1]),
+    "T-string": lambda doc: doc["transitions"][0].update(T="s"),
+    "transitions-object": lambda doc: doc.update(transitions={}),
+    "state-string": lambda doc: doc["states"].__setitem__(1, "s"),
+    "state-of-ints": lambda doc: doc["states"].__setitem__(1, [0]),
+    "state-unknown-name": lambda doc: doc["states"].__setitem__(1, ["x"]),
+    "generators-string": lambda doc: doc.update(generators="str"),
+}
+
+
+@pytest.mark.parametrize("mutate", _NOT_WRITTEN.values(), ids=_NOT_WRITTEN)
+def test_from_json_refuses_what_to_json_cannot_write(machines, mutate):
+    _, machine, _ = machines["fig1"]
+    doc = json.loads(to_json(machine))
+    mutate(doc)
+    with pytest.raises(ParseError):
+        from_json(json.dumps(doc), machine.system)
+
+
+@pytest.mark.parametrize("text", ["", "not json", "[]", "7", '"machine"'])
+def test_from_json_refuses_what_is_no_json_object(fig1, text):
+    with pytest.raises(ParseError):
+        from_json(text, fig1)
+
+
+@pytest.mark.parametrize("name,radius", [("fig1", 6), ("a3tilde", 5),
+                                         ("h237", 6)])
+def test_append_lemma_right_side_is_the_transition_test(request, ball, name,
+                                                        radius):
+    """The lemma's right side at g holds exactly when the machine has a T
+    transition out of the state g leads to."""
+    system = request.getfixturevalue(name)
+    machine, _ = build(system)
+    index = {st: i for i, st in enumerate(machine.states)}
+    leaving = {}
+    for tr in machine.transitions:
+        leaving.setdefault(tr.source, set()).add(tr.parabolic)
+    for g in ball(system, radius):
+        out = leaving.get(index[wall_state_key(system, g)], set())
+        for T in system.spherical_subsets():
+            assert check_append_lemma(g, T)[1] == (T in out), (g, T)
 
 
 def test_dot_export_shape(machines):

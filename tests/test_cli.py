@@ -1,6 +1,9 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -118,6 +121,36 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write output file: ")
         assert len(err.splitlines()) == 1
+
+
+GREEK = "generators σ τ ρ\nm σ τ 2\nm σ ρ 4\nm τ ρ 4\n"
+
+
+def test_output_the_stdout_encoding_cannot_hold_is_a_usage_error(tmp_path):
+    """Names that stdout's encoding cannot hold exit 2 with one error
+    line, not a traceback; an output file is UTF-8 whatever stdout and
+    the locale are.  The C locale, neither coerced nor in UTF-8 mode,
+    makes ASCII the default file encoding."""
+    group = tmp_path / "greek.cox"
+    group.write_text(GREEK, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii",
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+
+    def coxlang(*argv):
+        return subprocess.run([sys.executable, "-m", "coxlang.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    proc = coxlang("info", str(group))
+    assert proc.returncode == 2
+    err = proc.stderr.decode("ascii")
+    assert err.startswith("error: cannot encode output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    target = tmp_path / "fsa.dot"
+    proc = coxlang("automaton", str(group), "--format", "dot",
+                   "--output", str(target))
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
+    assert "{σ,τ} : στ" in target.read_text(encoding="utf-8")
 
 
 def test_automaton_state_cap(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      InvariantViolation, ParseError, PreconditionError,
                      ResourceLimitError, parse_system)
-from coxlang.core import Element, parse_word
+from coxlang.core import Element
 from coxlang.language import canonical_word, language_words
 from coxlang.walls import Wall, inversion_walls
 from conftest import GROUPS, diagram as _diagram, path_edges as _path
@@ -83,11 +83,13 @@ def test_parse_word_formats(fig1):
 
 
 def test_parse_word_reads_e_as_a_name_when_declared():
-    assert parse_word(("e", "f"), "e") == (0,)
-    assert parse_word(("e", "f"), "fe") == (1, 0)
-    assert parse_word(("s", "t"), "e") == ()
+    ef = CoxeterSystem.from_pairs(("e", "f"), {("e", "f"): 3})
+    plain = CoxeterSystem.from_pairs(("s", "t"), {("s", "t"): 3})
+    assert ef.parse_word("e") == (0,)
+    assert ef.parse_word("fe") == (1, 0)
+    assert plain.parse_word("e") == ()
     with pytest.raises(ParseError):
-        parse_word(("s", "t"), "se")
+        plain.parse_word("se")
 
 
 def test_multichar_names_need_spaces():
