@@ -2,9 +2,15 @@
 
 Exit codes: 0 clean, 1 an asserted invariant failed (equivalence mismatch,
 5K bound violation, missing residue witness), 2 usage or parse problems
-(an unreadable group file, an unwritable output file, and output that
-stdout's encoding cannot hold included), 3 a resource cap was hit.
-Output files are written in UTF-8, as group files are read.
+(an unreadable group file, an unwritable output file, output that
+stdout's encoding cannot hold, and a stdout that cannot be written
+included), 3 a resource cap was hit.  Output files are written in UTF-8,
+as group files are read.
+
+`main` flushes stdout before it returns, so a full disk or a reader that
+closed the pipe early (`coxlang automaton ... --format json | head -1`)
+is an error line on stderr and exit 2, not a traceback, also when
+PYTHONUNBUFFERED makes stdout unbuffered.
 
 Each command imports the modules it runs inside its handler, so a process
 compiles and loads only those: `info` needs no more than `core`.
@@ -13,6 +19,8 @@ compiles and loads only those: `info` needs no more than `core`.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, INF, CoxeterSystem,
@@ -37,7 +45,18 @@ def _load(path: str) -> CoxeterSystem:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if not args.output:
-        sys.stdout.write(text)
+        out = sys.stdout
+        raw = getattr(out, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            out.write(text)
+            return
+        # Unbuffered (PYTHONUNBUFFERED): the text layer would drop what a
+        # partial write leaves, so a closed pipe would go unseen.  Each
+        # write of the rest raises once the reader is gone.
+        data = memoryview(text.encode(out.encoding, out.errors))
+        out.flush()
+        while data:
+            data = data[raw.write(data):]
         return
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -223,6 +242,29 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code, with stdout flushed."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Group files and --output files report their own errors, so this
+        # one is stdout's.  What stdout still holds would fail again when
+        # the interpreter flushes it at exit, so it is sent to the null
+        # device first.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass  # a stdout with no file descriptor
+        else:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,49 +5,55 @@ generator is the B-orthogonal reflection in its simple root, where
 B(a_s, a_t) = -cos(pi/m_st).  The system stores the form as 2B, with
 2B(a_s, a_s) = 2 and 2B(a_s, a_t) = -2cos(pi/m_st), so that, like every
 generator matrix, it has entries in Z[theta] and every library value is an
-integer vector.  The representation is faithful, so element equality is
-matrix equality over the exact field.  Normal forms are ShortLex: the
-first letter of nf(g) is the least left descent of g, and stripping it
-recurses.
+integer vector.  Normal forms are ShortLex: the first letter of nf(g) is
+the least left descent of g, and stripping it recurses.
 
 Layout.  With d the field degree, a vector in the simple-root basis is
 one flat tuple of n·d ints: coordinate i is the block [i·d, (i+1)·d).  A
 matrix is the tuple of its n columns, and column j of g's matrix is the
-root g(a_j); the identity's columns are the unit vectors.  So j is a
-right descent of g exactly when column j is a negative root (Björner &
-Brenti 2005, 4.2), and `root_sign` reads it off one flat vector.
+root g(a_j); the identity's columns are the unit vectors.
 
-An element carries its matrix.  The matrix of its inverse, which left
-descents read, is formed on first use by replaying the generator steps
-that made the element with the opposite-side kernel, so no matrix is ever
-inverted, and an element whose inverse is never read costs one step.
-Generator matrices differ from the identity only in one row, so one-sided
-multiplication by a generator costs O(n^2) instead of O(n^3).  A right
-step g·s negates column s and adds c_st = 2cos(pi/m_st) times it to each
-neighbour column t, one pass over a flat vector each; every other column
-is the same tuple as in g, shared, which is exact because tuples are
-immutable.  A left step s·g rewrites block s of each column.  Every
-product the library forms is such a generator step: g·u is `mul_word(g,
-nf(u))`, and coset questions compare residue gates instead of forming
-g⁻¹·x.  The dense `_mat_mul` is their test oracle.
+Keys.  The height of a root is the sum of its coordinates.  Height j of
+g, that of g(a_j), is the value of g⁻¹ρ* on a_j, where ρ* is 1 on every
+simple root; ρ* lies inside the Tits cone, on which W acts freely
+(Humphreys 1990, 5.13), so the n heights fix g.  They are its key, one
+flat tuple of n·d ints, and a system interns one Element per key.  So two
+elements of one system are equal exactly when they are the same object,
+elements compare and hash by identity, and what an element memoises
+serves every caller: normal form, descent sets (shared per system),
+descent data (T, w, Pi), canonical word, and generator steps.
+`mul_gen(g, s)` stores g·s on g and g on g·s, and `gen_mul` likewise on
+the left, so a repeated step is a lookup.
 
-Right descents step with the element.  Column t of g·s is g(a_t) +
-c_st·g(a_s) for a neighbour t of s and g(a_t) otherwise, and c_st > 0.  So
-s toggles, a non-neighbour keeps its membership, and so does a neighbour
-on the same side as s, since a positive combination of two roots of one
-sign has that sign.  Only a neighbour on the other side can change.  When
-s is an ascent, that neighbour's fate is read off the <s, t> tail of g
-through steps already taken (see `_tail_descent`), so a ball makes no
-sign test at all; otherwise its column is sign-tested.
+Steps.  Column t of g·s is g(a_t) + c_st·g(a_s) for each neighbour t of
+s, with c_st = 2cos(pi/m_st) > 0, and column s is -g(a_s).  Heights are
+linear, so a right step changes the key in the same way, as in the
+numbers game (Björner & Brenti 2005, 4.3), and forms no matrix.  A left
+step s·g rewrites block s of each column, so it forms s·g's matrix from
+g's and reads the new key off it.  Generator matrices
+differ from the identity only in one row, so a one-sided step costs
+O(n^2) instead of O(n^3), and the columns a right step leaves alone are
+shared.  Every product the library forms is such a generator step: g·u
+is `mul_word(g, nf(u))`, and coset questions compare residue gates
+instead of forming g⁻¹·x.  The dense `_mat_mul` is their test oracle.
 
-Elements are interned: a system hands out one Element per group element,
-keyed by its matrix.  So what an element memoises serves every caller:
-normal form, descent sets (shared per system), descent data (T, w, Pi),
-canonical word, and generator steps.  `mul_gen(g, s)` stores
-g·s on g and g on g·s, and `gen_mul` likewise on the left, so a repeated
-step is a lookup.  `_element` is the only constructor, so two elements of
-one system are equal exactly when they are the same object, and elements
-compare and hash by identity.
+Matrices are formed only when read: left steps, left descents, inverses
+and walls read them; balls, descent data, residue gates and right-side
+scans do not.  An element's matrix, and its inverse's, is formed on
+first read by replaying the steps that made it, with the same-side kernel
+for the matrix and the opposite-side one for the inverse (see
+`Element._replay`), so no matrix is ever inverted.
+
+Descents.  s is a right descent of g exactly when g(a_s) is a negative
+root (Björner & Brenti 2005, 4.2), that is, when height s is negative.
+Right descents step with the element: s toggles, a non-neighbour keeps
+its membership, and so does a neighbour on the same side as s, since a
+positive combination of two roots of one sign has that sign.  Only a
+neighbour on the other side can change.  When s is an ascent, that
+neighbour's fate is read off the <s, t> tail of g through steps already
+taken (see `_tail_descent`), so a ball makes no sign test at all;
+otherwise the sign of its height in the stepped key decides.  Left
+descents are the signs of the inverse matrix's columns.
 """
 
 from __future__ import annotations
@@ -149,7 +155,8 @@ class CoxeterSystem:
                              for j in range(n))
         self._elements: dict[tuple, Element] = {}
         self._descent_sets: dict[frozenset, frozenset] = {}
-        self._identity = self._element(self._id_mat, self._id_mat)
+        self._identity = self._element(self._heights(self._id_mat),
+                                       self._id_mat, self._id_mat)
         self._identity._nf = ()
         empty = self._descent_sets[frozenset()] = frozenset()
         self._identity._rdesc = self._identity._ldesc = empty
@@ -232,6 +239,30 @@ class CoxeterSystem:
             out.append(col)
         return tuple(out)
 
+    def _key_rmul(self, key, s: int):
+        """The key of g·s from g's: height s is negated, and c_st times it
+        is added to each neighbour height t."""
+        d, out = self.field.degree, list(key)
+        if d == 1:
+            height = key[s]
+            out[s] = -height
+            for t, c in self._nbrs[s]:
+                out[t] += c[0] * height
+            return tuple(out)
+        lo, scale = s * d, self.field.scale
+        height = key[lo:lo + d]
+        out[lo:lo + d] = map(neg, height)
+        for t, c in self._nbrs[s]:
+            out[t * d:t * d + d] = map(add, key[t * d:t * d + d],
+                                       scale(c, height))
+        return tuple(out)
+
+    def _heights(self, mat):
+        """The key of the element with this matrix: the height of each
+        column, the sum of its n coordinates."""
+        d = self.field.degree
+        return tuple(sum(col[k::d]) for col in mat for k in range(d))
+
     def apply(self, mat, vec):
         """mat @ vec for a flat vector: the sum of vec_k times column k."""
         d, scale = self.field.degree, self.field.scale
@@ -289,11 +320,19 @@ class CoxeterSystem:
                        if self.root_sign(col) < 0)
         return self._descent_sets.setdefault(fs, fs)
 
-    def _stepped_descents(self, g: "Element", mat, s: int) -> frozenset:
-        """The right descents of h = g·s, whose matrix is `mat`, from those
-        of g: s toggles, and only a neighbour t of s on the other side of
-        it can change.  Such a t is read off the dihedral tail of g when
-        its steps are known, and otherwise sign-tested."""
+    def _negative(self, key, t: int) -> bool:
+        """Whether height t of a key is negative, that is, whether t is a
+        right descent of the element with this key."""
+        d = self.field.degree
+        if d == 1:
+            return key[t] < 0
+        return self.field.raw_sign(key[t * d:t * d + d]) < 0
+
+    def _stepped_descents(self, g: "Element", key, s: int) -> frozenset:
+        """The right descents of h = g·s, whose key is `key`, from those of
+        g: s toggles, and only a neighbour t of s on the other side of it
+        can change.  Such a t is read off the dihedral tail of g when its
+        steps are known, and otherwise from the sign of its height."""
         desc = g._rdesc
         s_in = s in desc
         flip = [s]
@@ -303,7 +342,7 @@ class CoxeterSystem:
                 continue
             now = self._tail_descent(g, s, t) if t_in else None
             if now is None:
-                now = self.root_sign(mat[t]) < 0
+                now = self._negative(key, t)
             if now != t_in:
                 flip.append(t)
         fs = desc.symmetric_difference(flip)
@@ -379,16 +418,16 @@ class CoxeterSystem:
             word = self.parse_word(word)
         return self.mul_word(self._identity, word)
 
-    def _element(self, mat, inv=None, slot=None) -> "Element":
-        """The one Element with this matrix, made on first sight.
+    def _element(self, key, mat=None, inv=None, slot=None) -> "Element":
+        """The one Element with this key, made on first sight.
 
-        A new element is given either its inverse matrix or `slot`, the
-        step slot that holds the element it was stepped from (see
-        `Element.inv`).
+        A new element is given either its matrix and its inverse's or
+        `slot`, the step slot that holds the element it was stepped from
+        (see `Element._replay`); a left step gives its matrix as well.
         """
-        el = self._elements.get(mat)
+        el = self._elements.get(key)
         if el is None:
-            el = self._elements[mat] = Element(self, mat, inv, slot)
+            el = self._elements[key] = Element(self, key, mat, inv, slot)
         return el
 
     def mul_word(self, g: "Element", word) -> "Element":
@@ -398,28 +437,29 @@ class CoxeterSystem:
         return g
 
     def mul_gen(self, g: "Element", s: int) -> "Element":
-        """g * s: the O(n^2) kernel once, kept on g, and g kept on g·s.
-        If g's right descents are known, those of g·s are stepped from
-        them."""
+        """g * s: one key step, kept on g, and g kept on g·s.  If g's right
+        descents are known, those of g·s are stepped from them."""
         if not 0 <= s < self.n:
             raise PreconditionError(f"letter {s} out of range")
         h = g._steps[s]
         if h is None:
-            mat = self._gen_rmul(g.mat, s)
-            h = g._steps[s] = self._element(mat, slot=s)
+            key = self._key_rmul(g.key, s)
+            h = g._steps[s] = self._element(key, slot=s)
             h._steps[s] = g
             if h._rdesc is None and g._rdesc is not None:
-                h._rdesc = self._stepped_descents(g, mat, s)
+                h._rdesc = self._stepped_descents(g, key, s)
         return h
 
     def gen_mul(self, s: int, g: "Element") -> "Element":
-        """s * g, memoised as in mul_gen, in the left-step slots."""
+        """s * g, memoised as in mul_gen, in the left-step slots; its key
+        is read off the matrix the step forms."""
         if not 0 <= s < self.n:
             raise PreconditionError(f"letter {s} out of range")
         k = self.n + s
         h = g._steps[k]
         if h is None:
-            h = g._steps[k] = self._element(self._gen_lmul(s, g.mat), slot=k)
+            mat = self._gen_lmul(s, g.mat)
+            h = g._steps[k] = self._element(self._heights(mat), mat, slot=k)
             h._steps[k] = g
         return h
 
@@ -508,10 +548,10 @@ class CoxeterSystem:
         ts = sorted(T)
         cur = g
         while True:
-            rd = cur.right_descents()
+            rd = cur._rdesc or cur.right_descents()
             for t in ts:
                 if t in rd:
-                    cur = self.mul_gen(cur, t)
+                    cur = cur._steps[t] or self.mul_gen(cur, t)
                     break
             else:
                 return cur
@@ -583,21 +623,22 @@ def k_constant(system: CoxeterSystem) -> int:
 
 
 class Element:
-    """A group element: its exact matrix plus memoised data.
+    """A group element: its key plus memoised data.
 
     Made only by `CoxeterSystem._element`.  `_steps[s]` is g·s and
     `_steps[n + s]` is s·g, once taken; `_descent` is (T, w, Pi) and
-    `_canonical` the canonical word (see `language`).  `_inv` is the
-    inverse matrix once formed; until then `_slot` names the step slot
-    holding the element this one was stepped from.
+    `_canonical` the canonical word (see `language`).  `_mat` and `_inv`
+    are g's matrix and its inverse's once formed; until then `_slot` names
+    the step slot holding the element this one was stepped from.
     """
 
-    __slots__ = ("system", "mat", "_inv", "_slot", "_nf", "_rdesc", "_ldesc",
-                 "_steps", "_descent", "_canonical")
+    __slots__ = ("system", "key", "_mat", "_inv", "_slot", "_nf", "_rdesc",
+                 "_ldesc", "_steps", "_descent", "_canonical")
 
-    def __init__(self, system: CoxeterSystem, mat, inv, slot):
+    def __init__(self, system: CoxeterSystem, key, mat, inv, slot):
         self.system = system
-        self.mat = mat
+        self.key = key
+        self._mat = mat
         self._inv = inv
         self._slot = slot
         self._nf = None
@@ -608,25 +649,38 @@ class Element:
         self._canonical = None
 
     @property
-    def inv(self):
-        """The matrix of g⁻¹, formed on first read.
+    def mat(self):
+        """The matrix of g, formed on first read."""
+        return self._mat if self._mat is not None else self._replay("_mat")
 
-        If g = h·s then g⁻¹ = s·h⁻¹, and if g = s·h then g⁻¹ = h⁻¹·s: one
-        opposite-side step from the inverse of the element g was stepped
-        from.  The chain of such elements is walked back to one whose
-        inverse is known (the identity, at worst), then replayed forward.
+    @property
+    def inv(self):
+        """The matrix of g⁻¹, formed on first read."""
+        return self._inv if self._inv is not None else self._replay("_inv")
+
+    def _replay(self, attr: str):
+        """Form the matrix of g (attr "_mat") or of g⁻¹ ("_inv").
+
+        If g = h·s, g's matrix is h's times sigma_s and g⁻¹ = s·h⁻¹; if
+        g = s·h, the sides swap.  So one step from the element g was
+        stepped from gives either matrix: the same-side kernel for g's,
+        the opposite-side one for g⁻¹'s.  The chain of such elements is
+        walked back to one whose matrix is known (the identity, at worst),
+        then replayed forward, and each matrix on the way is kept.
         """
-        if self._inv is None:
-            system, chain, cur = self.system, [], self
-            while cur._inv is None:
-                chain.append(cur)
-                cur = cur._steps[cur._slot]
-            inv, n = cur._inv, system.n
-            for el in reversed(chain):
-                k = el._slot
-                inv = el._inv = (system._gen_lmul(k, inv) if k < n
-                                 else system._gen_rmul(inv, k - n))
-        return self._inv
+        system, chain, cur = self.system, [], self
+        while getattr(cur, attr) is None:
+            chain.append(cur)
+            cur = cur._steps[cur._slot]
+        mat, n, inverse = getattr(cur, attr), system.n, attr == "_inv"
+        for el in reversed(chain):
+            k = el._slot
+            if (k < n) != inverse:
+                mat = system._gen_rmul(mat, k % n)
+            else:
+                mat = system._gen_lmul(k % n, mat)
+            setattr(el, attr, mat)
+        return mat
 
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -636,15 +690,20 @@ class Element:
         return self.system.mul_word(self, other.nf)
 
     def inverse(self) -> "Element":
-        return self.system._element(self.inv, self.mat)
+        system, inv = self.system, self.inv
+        return system._element(system._heights(inv), inv, self.mat)
 
     def is_identity(self) -> bool:
         return self is self.system._identity
 
     def right_descents(self) -> frozenset[int]:
-        """{s : l(gs) < l(g)} = {s : g sends a_s to a negative root}."""
+        """{s : l(gs) < l(g)} = {s : g sends a_s to a negative root}, read
+        off the signs of g's key."""
         if self._rdesc is None:
-            self._rdesc = self.system._descents(self.mat)
+            system = self.system
+            fs = frozenset(t for t in range(system.n)
+                           if system._negative(self.key, t))
+            self._rdesc = system._descent_sets.setdefault(fs, fs)
         return self._rdesc
 
     def left_descents(self) -> frozenset[int]:

@@ -117,7 +117,7 @@ def _better(value: int, wit: Witness, best: int, best_wit: Witness | None) -> bo
     return best_wit is None or wit < best_wit
 
 
-def _tail_value(system: CoxeterSystem, g: Element, gp: Element,
+def _tail_value(system: CoxeterSystem, g: Element, s: int,
                 tails: dict) -> int:
     """The value of the right-side pair (g, g' = g·s) from chunk tails.
 
@@ -127,13 +127,23 @@ def _tail_value(system: CoxeterSystem, g: Element, gp: Element,
     identity along it.  So the value is that of the words the chunks above
     c spell on each side, which follow from their longest elements; it is
     kept in `tails` per pair of those sequences.  No canonical word is
-    formed.
+    formed, and neither is g' when no step has linked it to g: T = T(g')
+    is stepped from g's descents and key, and Pi(g') = g·(s·w0(T)) is the
+    gate of g<T>, reached from g down steps the ball already took.
     """
-    if len(gp._rdesc or gp.right_descents()) == 1:
+    gp = g._steps[s]
+    if gp is not None:
+        T, w, b = gp._descent or descent_data(gp)
+    else:
+        T = system._stepped_descents(g, system._key_rmul(g.key, s), s)
+        w = system.longest_element(T)
+        b = system.residue_gate(g, T)
+    if len(T) == 1:
         return 1  # T(g') = {s}, so Pi(g') = g and the one chunk above is s
     # The longer side steps down its chain until the two sides meet.
-    a, b, la, lb = g, gp, g.length, g.length + 1
-    top, top_p = [], []
+    la = len(g._nf or g.nf)
+    lb = la + 1 - len(w._nf or w.nf)
+    a, top, top_p = g, [], [w]
     while a is not b:
         if la >= lb:
             _, w, a = a._descent or descent_data(a)
@@ -153,39 +163,48 @@ def _tail_value(system: CoxeterSystem, g: Element, gp: Element,
 
 
 def _ascent_values(system, ball, side, words, max_words):
-    """(l(g), value, (nf(g), s)) for g in the ball and each ascent s, in
-    ball order.
+    """(l(g), value, (nf(g), s)) for each g in the ball with an ascent, in
+    ball order: the largest value over g's ascents s, the least s among
+    ties.
 
     Side "right" compares g with g·s; side "left" compares g with s·g,
     shifting the prefixes of g by s.  In "all" mode the value is the worst
     over every pair of standard-language words, else that of the canonical
-    words, which on the right side is read from the chunk tails.
+    words, which on the right side is read from the chunk tails without
+    forming g·s.
     """
-    right = side == "right"
+    right, n = side == "right", system.n
+
+    def neighbour(g, s):
+        if right:
+            return g._steps[s] or system.mul_gen(g, s)
+        return g._steps[n + s] or system.gen_mul(s, g)
+
     if words == "all":
-        def value(g, gp, shift):
-            return max(_pair_value(system, v, vp, shift)
+        def value(g, s):
+            return max(_pair_value(system, v, vp, None if right else s)
                        for v in language_words(g, max_words)
-                       for vp in language_words(gp, max_words))
+                       for vp in language_words(neighbour(g, s), max_words))
     elif right:
         tails = {}
 
-        def value(g, gp, shift):
-            return _tail_value(system, g, gp, tails)
+        def value(g, s):
+            return _tail_value(system, g, s, tails)
     else:
-        def value(g, gp, shift):
+        def value(g, s):
+            gp = neighbour(g, s)
             return _pair_value(system, g._canonical or canonical_word(g),
-                               gp._canonical or canonical_word(gp), shift)
-    n = system.n
+                               gp._canonical or canonical_word(gp), s)
     for g in ball:
         desc = g.right_descents() if right else g.left_descents()
+        best = None
         for s in range(n):
             if s not in desc:
-                if right:
-                    gp = g._steps[s] or system.mul_gen(g, s)
-                else:
-                    gp = g._steps[n + s] or system.gen_mul(s, g)
-                yield g.length, value(g, gp, None if right else s), (g.nf, s)
+                val = value(g, s)
+                if best is None or val > best:
+                    best, arg = val, s
+        if best is not None:
+            yield g.length, best, (g.nf, arg)
 
 
 def _running_bests(entries, radii) -> list[tuple[int, Witness | None]]:

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -151,6 +152,73 @@ def test_output_the_stdout_encoding_cannot_hold_is_a_usage_error(tmp_path):
                    "--output", str(target))
     assert proc.returncode == 0 and proc.stdout == proc.stderr == b""
     assert "{σ,τ} : στ" in target.read_text(encoding="utf-8")
+
+
+def _coxlang_process(*argv, unbuffered="", **kwargs):
+    """`coxlang` in a child process; stdout is block-buffered unless
+    `unbuffered` is a non-empty PYTHONUNBUFFERED value."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    return subprocess.Popen([sys.executable, "-m", "coxlang.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def _one_error_line(err: bytes) -> str:
+    text = err.decode()
+    assert text.count("\n") == 1 and text.endswith("\n"), text
+    return text
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [("info", FIG1),
+                                  ("automaton", A3T, "--format", "json")])
+def test_a_full_stdout_is_a_usage_error(argv, unbuffered):
+    """A stdout on a full device exits 2 with one error line, not a
+    traceback and exit 1, whether the failing write is a print, the
+    flush at the end, or one large write."""
+    with open("/dev/full", "w") as full:
+        proc = _coxlang_process(*argv, unbuffered=unbuffered, stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert _one_error_line(err).startswith("error: cannot write output: ")
+
+
+A4_TILDE = ("generators a b c d e\n"
+            + "".join(f"m {x} {y} {3 if (j - i) % 5 in (1, 4) else 2}\n"
+                      for i, x in enumerate("abcde")
+                      for j, y in enumerate("abcde") if i < j))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_pipe_is_a_usage_error(tmp_path, unbuffered):
+    """A reader that stops after the first byte of A~4's 4 MB automaton
+    (`| head -1`) makes the command exit 2 with one error line, and what
+    stdout still buffers is not written, nor reported, at exit.  Python's
+    unbuffered text stdout alone would drop the rest of the cut write and
+    exit 0."""
+    group = tmp_path / "a4tilde.cox"
+    group.write_text(A4_TILDE)
+    proc = _coxlang_process("automaton", str(group), "--format", "json",
+                            unbuffered=unbuffered, stdout=subprocess.PIPE)
+    assert os.read(proc.stdout.fileno(), 1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert _one_error_line(err).startswith("error: cannot write output: ")
+
+
+def test_a_stdout_write_error_in_process(capsys, monkeypatch):
+    """In process, with a stdout that has no file descriptor, a failed
+    write is still one error line and exit 2."""
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["info", FIG1]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_automaton_state_cap(capsys):
@@ -429,12 +497,12 @@ def test_no_dense_product_on_cli_paths(capsys, monkeypatch, argv):
 
 
 def test_ball_forms_no_inverse_and_one_step_per_candidate(monkeypatch):
-    """A ball forms each candidate's matrix once and no inverse matrix:
-    inverses wait for their first read."""
+    """A ball forms no matrix and no inverse matrix: it takes one key step
+    per candidate, and matrices wait for their first read."""
     from coxlang import parse_system
     from coxlang.core import CoxeterSystem
     system = parse_system((GROUPS / "a3tilde.cox").read_text())
-    calls = {"_gen_rmul": 0, "_gen_lmul": 0}
+    calls = {"_gen_rmul": 0, "_gen_lmul": 0, "_key_rmul": 0}
     for name in calls:
         kernel = getattr(CoxeterSystem, name)
 
@@ -445,5 +513,6 @@ def test_ball_forms_no_inverse_and_one_step_per_candidate(monkeypatch):
     ball = system.ball(10)
     candidates = sum(system.n - len(g.right_descents())
                      for g in ball if g.length < 10)
-    assert calls["_gen_lmul"] == 0
-    assert 0 < calls["_gen_rmul"] <= candidates
+    assert calls["_gen_rmul"] == calls["_gen_lmul"] == 0
+    # The generators were stepped when the system was built.
+    assert calls["_key_rmul"] == candidates - system.n

@@ -237,8 +237,10 @@ def test_interned_elements_match_matrices_and_rewriting(fig1, a3tilde, h237,
                 if s not in g.left_descents():
                     elements[system.gen_mul(s, g)] = None
         for g in elements:
-            # The intern table is keyed by the matrix.
-            assert system._elements[g.mat] is g
+            # The intern table is keyed by the column heights, and the
+            # key stepped along agrees with the matrix formed on first read.
+            assert system._elements[g.key] is g
+            assert g.key == system._heights(g.mat)
             for s in range(system.n):
                 right, left = system.mul_gen(g, s), system.gen_mul(s, g)
                 assert right.mat == system._gen_rmul(g.mat, s)
@@ -265,6 +267,28 @@ def test_matrices_match_row_major_generator_products(fname):
 
 
 @pytest.mark.parametrize("fname", SHIPPED)
+def test_keys_fix_elements_and_their_right_descents(fname):
+    """Over ball(5) of every group file (field degrees 1, 2, 8 and 12) and
+    each element's left and right neighbours: an element is interned under
+    its key, the key is the column heights of the matrix formed on first
+    read, two elements share a key exactly when their matrices are equal,
+    and the right descents stepped or read off the key are the column
+    signs."""
+    system = parse_system((GROUPS / fname).read_text())
+    elements = dict.fromkeys(system.ball(5))
+    for g in list(elements):
+        for s in range(system.n):
+            elements[system.mul_gen(g, s)] = None
+            elements[system.gen_mul(s, g)] = None
+    for g in elements:
+        assert system._elements[g.key] is g
+        assert g.key == system._heights(g.mat)
+        assert (g._rdesc or g.right_descents()) == system._descents(g.mat)
+    assert (len({g.key for g in elements}) == len({g.mat for g in elements})
+            == len(elements))
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
 def test_stepped_descents_match_column_signs(fname):
     """Right descents stepped from g to g·s equal the full column-sign
     test, for elements made by mixed left and right steps.  The ball is
@@ -282,16 +306,29 @@ def test_stepped_descents_match_column_signs(fname):
             assert el._rdesc == system._descents(el.mat)
 
 
-def test_ball_makes_at_most_one_sign_test_per_new_element(monkeypatch):
-    """Descents carried from step to step, not a sign test per column."""
-    system = parse_system((GROUPS / "a3tilde.cox").read_text())
+@pytest.mark.parametrize("fname,degree", [("a3tilde.cox", 1),
+                                          ("fig1.cox", 2),
+                                          ("triangle_237.cox", 12)])
+def test_ball_makes_at_most_one_sign_test_per_new_element(monkeypatch,
+                                                          fname, degree):
+    """Descents carried from step to step, not a sign test per column: a
+    ball reads at most one key sign per new element over Q, none where a
+    sign costs a field evaluation, and no column sign at all."""
+    system = parse_system((GROUPS / fname).read_text())
+    assert system.field.degree == degree
     before = len(system._elements)
-    calls = []
-    real = system.root_sign
+    reads, columns = [], []
+    negative, sign = system._negative, system.root_sign
+    monkeypatch.setattr(system, "_negative",
+                        lambda key, t: reads.append(t) or negative(key, t))
     monkeypatch.setattr(system, "root_sign",
-                        lambda vec: calls.append(vec) or real(vec))
-    system.ball(10)
-    assert len(calls) <= len(system._elements) - before
+                        lambda vec: columns.append(vec) or sign(vec))
+    system.ball(10 if degree == 1 else 8)
+    assert not columns
+    if degree == 1:
+        assert len(reads) <= len(system._elements) - before
+    else:
+        assert not reads
 
 
 @pytest.mark.parametrize("fname,degree", [("a3tilde.cox", 1),

@@ -122,13 +122,36 @@ def _right_ascents(system, ball):
 @pytest.mark.parametrize("name", SHIPPED + ["A~4"])
 def test_tail_values_equal_the_public_oracle(name):
     """Every right-ascent value read from chunk tails against the canonical
-    words compared letter by letter, in a fresh system."""
-    system = _shipped_or_a4(name)
+    words compared letter by letter, in a separate system.  The ascents out
+    of the ball's last level are never formed, so their values come from
+    stepped keys, and the scan interns nothing past the ball."""
+    system, oracle = _shipped_or_a4(name), _shipped_or_a4(name)
     tails = {}
     ball = system.ball(6 if name == "A~4" else 8)
-    for g, s, gs in _right_ascents(system, ball):
-        assert (_tail_value(system, g, gs, tails)
-                == ft_pair_divergence(g, gs, "right", s)), (g, s)
+    size = len(system._elements)
+    last = ball[-1].length
+    skipped = 0
+    for g in ball:
+        h = oracle.element(g.nf)
+        for s in range(system.n):
+            if s in g.right_descents():
+                continue
+            skipped += g._steps[s] is None
+            assert (_tail_value(system, g, s, tails)
+                    == ft_pair_divergence(h, oracle.mul_gen(h, s), "right", s)
+                    ), (g, s)
+    assert len(system._elements) == size
+    assert skipped == sum(system.n - len(g.right_descents())
+                          for g in ball if g.length == last)
+
+
+def test_divergence_scan_interns_only_the_ball():
+    """A~3 divergence rows intern the elements of the ball at the largest
+    radius and no more: 3,025 at radius 16 and 5,781 at radius 20."""
+    for radii, size in (((8, 12, 16), 3025), ((8, 12, 16, 20), 5781)):
+        system = parse_system((GROUPS / "a3tilde.cox").read_text())
+        divergence_scan(system, radii)
+        assert len(system._elements) == len(system.ball(radii[-1])) == size
 
 
 def _reference_entries(system, ball, mode):
