@@ -306,29 +306,41 @@ def test_stepped_descents_match_column_signs(fname):
             assert el._rdesc == system._descents(el.mat)
 
 
-@pytest.mark.parametrize("fname,degree", [("a3tilde.cox", 1),
-                                          ("fig1.cox", 2),
-                                          ("triangle_237.cox", 12)])
-def test_ball_makes_at_most_one_sign_test_per_new_element(monkeypatch,
-                                                          fname, degree):
-    """Descents carried from step to step, not a sign test per column: a
-    ball reads at most one key sign per new element over Q, none where a
-    sign costs a field evaluation, and no column sign at all."""
-    system = parse_system((GROUPS / fname).read_text())
-    assert system.field.degree == degree
-    before = len(system._elements)
+def _count_sign_reads(monkeypatch, system):
+    """Record the key signs and the column signs that `system` reads."""
     reads, columns = [], []
     negative, sign = system._negative, system.root_sign
     monkeypatch.setattr(system, "_negative",
                         lambda key, t: reads.append(t) or negative(key, t))
     monkeypatch.setattr(system, "root_sign",
                         lambda vec: columns.append(vec) or sign(vec))
-    system.ball(10 if degree == 1 else 8)
+    return reads, columns
+
+
+def test_ball_makes_at_most_one_sign_test_per_new_element(monkeypatch):
+    """Descents carried from step to step, not a sign test per column: a
+    ball over Q reads at most one key sign per new element and no column
+    sign at all."""
+    system = parse_system((GROUPS / "a3tilde.cox").read_text())
+    assert system.field.degree == 1
+    before = len(system._elements)
+    reads, columns = _count_sign_reads(monkeypatch, system)
+    system.ball(10)
     assert not columns
-    if degree == 1:
-        assert len(reads) <= len(system._elements) - before
-    else:
-        assert not reads
+    assert len(reads) <= len(system._elements) - before
+
+
+@pytest.mark.parametrize("fname,degree", [("fig1.cox", 2),
+                                          ("triangle_237.cox", 12)])
+def test_ball_reads_no_sign_over_number_fields(monkeypatch, fname, degree):
+    """Where a sign costs a field evaluation, a ball reads no key sign and
+    no column sign: every descent comes from the dihedral tail."""
+    system = parse_system((GROUPS / fname).read_text())
+    assert system.field.degree == degree
+    reads, columns = _count_sign_reads(monkeypatch, system)
+    system.ball(8)
+    assert not columns
+    assert not reads
 
 
 @pytest.mark.parametrize("fname,degree", [("a3tilde.cox", 1),
