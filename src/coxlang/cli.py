@@ -72,6 +72,8 @@ def _subset_str(system: CoxeterSystem, T) -> str:
 
 def cmd_info(args: argparse.Namespace) -> int:
     system = _load(args.group)
+    verdict = "yes" if system.is_two_dimensional() else "no"
+    k = k_constant(system)  # may exceed a cap, so before any output
     names = system.matrix.names
     print(f"generators: {' '.join(names)}")
     print("orders:")
@@ -82,8 +84,7 @@ def cmd_info(args: argparse.Namespace) -> int:
             for j in range(system.n))
         print(f"  {nm}: {row}")
     print(f"field degree: {system.field.degree}")
-    verdict = "yes" if system.is_two_dimensional() else "no"
-    print(f"2-dimensional: {verdict}; K = {k_constant(system)}")
+    print(f"2-dimensional: {verdict}; K = {k}")
     return EXIT_OK
 
 

@@ -45,15 +45,14 @@ for the matrix and the opposite-side one for the inverse (see
 `Element._replay`), so no matrix is ever inverted.
 
 Descents.  s is a right descent of g exactly when g(a_s) is a negative
-root (Björner & Brenti 2005, 4.2), that is, when height s is negative.
+root (Björner & Brenti 2005, 4.2), that is, when height s of g's key is
+negative; s is a left descent exactly when height s of g⁻¹'s key is.
 Right descents step with the element: s toggles, a non-neighbour keeps
 its membership, and so does a neighbour on the same side as s, since a
 positive combination of two roots of one sign has that sign.  Only a
-neighbour on the other side can change.  When s is an ascent, that
-neighbour's fate is read off the <s, t> tail of g through steps already
-taken (see `_tail_descent`), so a ball makes no sign test at all;
-otherwise the sign of its height in the stepped key decides.  Left
-descents are the signs of the inverse matrix's columns.
+neighbour on the other side can change, and the sign of its height in
+the stepped key decides, so the descents of g·s read at most one sign
+per such neighbour and do not depend on the steps taken before.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ Word = tuple[int, ...]
 
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_WORD_CAP = 100_000
+MAX_SPHERICAL_SUBSETS = 5_000
 
 
 class CoxeterMatrix:
@@ -313,11 +313,10 @@ class CoxeterSystem:
             raise InvariantViolation("root vector is zero")
         return 1 if pos else -1
 
-    def _descents(self, mat) -> frozenset:
-        """The s whose column of mat is a negative root, as a frozenset
-        shared by every element with these descents."""
-        fs = frozenset(s for s, col in enumerate(mat)
-                       if self.root_sign(col) < 0)
+    def _descents(self, key) -> frozenset:
+        """The t whose height in key is negative, as a frozenset shared by
+        every element with these descents."""
+        fs = frozenset(t for t in range(self.n) if self._negative(key, t))
         return self._descent_sets.setdefault(fs, fs)
 
     def _negative(self, key, t: int) -> bool:
@@ -331,44 +330,16 @@ class CoxeterSystem:
     def _stepped_descents(self, g: "Element", key, s: int) -> frozenset:
         """The right descents of h = g·s, whose key is `key`, from those of
         g: s toggles, and only a neighbour t of s on the other side of it
-        can change.  Such a t is read off the dihedral tail of g when its
-        steps are known, and otherwise from the sign of its height."""
+        can change, which the sign of its height decides."""
         desc = g._rdesc
         s_in = s in desc
         flip = [s]
         for t, _ in self._nbrs[s]:
             t_in = t in desc
-            if t_in == s_in:
-                continue
-            now = self._tail_descent(g, s, t) if t_in else None
-            if now is None:
-                now = self._negative(key, t)
-            if now != t_in:
+            if t_in != s_in and self._negative(key, t) != t_in:
                 flip.append(t)
         fs = desc.symmetric_difference(flip)
         return self._descent_sets.setdefault(fs, fs)
-
-    def _tail_descent(self, g: "Element", s: int, t: int):
-        """For s not in D_R(g) and t in it: whether t is in D_R(g·s), or
-        None if a step it needs was never taken.
-
-        Write g = g'·w with g' shortest in g<s, t>.  Then w alternates and
-        ends in t, and t is a descent of w·s exactly when w·s is the
-        longest element of <s, t>, that is, when w has length m_st - 1.
-        So the walk down g·t, g·t·s, ... checks that the tail is that long.
-        """
-        m = self.matrix.orders[s][t]
-        if m == INF:
-            return False
-        x, u = g, t
-        for _ in range(m - 2):
-            x = x._steps[u]
-            if x is None or x._rdesc is None:
-                return None
-            u = s if u == t else t
-            if u not in x._rdesc:
-                return False
-        return True
 
     # ----- words ---------------------------------------------------------
 
@@ -510,14 +481,23 @@ class CoxeterSystem:
 
         Finiteness passes to subsets, so each spherical T is a smaller
         spherical T extended by a larger letter, and the work follows the
-        output rather than the 2^n subsets.
+        output rather than the 2^n subsets.  The output can still double
+        with each generator (a path of order-3 edges has 2^n - 1), so past
+        MAX_SPHERICAL_SUBSETS the listing raises ResourceLimitError.
         """
         if self._spherical is None:
             out, level = [], [()]
             while level:
-                level = [T + (s,) for T in level
-                         for s in range(T[-1] + 1 if T else 0, self.n)
-                         if self.is_finite_parabolic(T + (s,))]
+                grown = []
+                for T in level:
+                    start = T[-1] + 1 if T else 0
+                    grown += [T + (s,) for s in range(start, self.n)
+                              if self.is_finite_parabolic(T + (s,))]
+                    if len(out) + len(grown) > MAX_SPHERICAL_SUBSETS:
+                        raise ResourceLimitError(
+                            f"more than {MAX_SPHERICAL_SUBSETS} spherical "
+                            "subsets, over the cap MAX_SPHERICAL_SUBSETS")
+                level = grown
                 out.extend(level)
             self._spherical = tuple(out)
         return self._spherical
@@ -700,15 +680,14 @@ class Element:
         """{s : l(gs) < l(g)} = {s : g sends a_s to a negative root}, read
         off the signs of g's key."""
         if self._rdesc is None:
-            system = self.system
-            fs = frozenset(t for t in range(system.n)
-                           if system._negative(self.key, t))
-            self._rdesc = system._descent_sets.setdefault(fs, fs)
+            self._rdesc = self.system._descents(self.key)
         return self._rdesc
 
     def left_descents(self) -> frozenset[int]:
+        """{s : l(sg) < l(g)}, read off the signs of g⁻¹'s key."""
         if self._ldesc is None:
-            self._ldesc = self.system._descents(self.inv)
+            system = self.system
+            self._ldesc = system._descents(system._heights(self.inv))
         return self._ldesc
 
     @property

@@ -5,9 +5,9 @@ library internals: word rewriting instead of the linear representation,
 sign sampling instead of bilinear-form tests, generating-function counts
 instead of graph search, and the plain loops that a library shortcut
 replaced.  The library has no caller of any of them: word-rewriting
-lengths (`tits_reduce`), chamber sides, residue walls, the append lemma's
-right side read forward, and the `Scalar` wrapper over raw field vectors
-live here.
+lengths (`tits_reduce`), descent sets from column signs, chamber sides,
+residue walls, the append lemma's right side read forward, and the
+`Scalar` wrapper over raw field vectors live here.
 """
 
 import functools
@@ -152,6 +152,15 @@ def layout_matrices(system, word):
         return tuple(tuple(c for i in range(n) for c in m[i][j])
                      for j in range(n))
     return columns(mat), columns(inv)
+
+
+def column_descents(system, mat):
+    """The s whose column of `mat` is a negative root: the right descents
+    of the element with this matrix, or its left descents when `mat` is
+    the inverse's (Björner & Brenti 2005, 4.2).  Every coordinate's sign
+    is read, and `root_sign` refuses a column that is not a root."""
+    return frozenset(s for s, col in enumerate(mat)
+                     if system.root_sign(col) < 0)
 
 
 def side(wall, g):

@@ -356,18 +356,34 @@ def test_free_product_of_30_generators(capsys, tmp_path):
     assert time.perf_counter() - start < 5
 
 
-def test_info_on_a12_path(capsys, tmp_path):
-    """K needs w0 only on the maximal spherical subsets: here the whole
-    set, against 4,095 spherical subsets."""
-    names = [f"g{i}" for i in range(12)]
-    group = tmp_path / "a12.cox"
+def _a_path(tmp_path, k):
+    """A group file for A_k: a path of k generators with order-3 edges."""
+    names = [f"g{i}" for i in range(k)]
+    group = tmp_path / f"a{k}.cox"
     group.write_text("generators " + " ".join(names) + "\n" + "".join(
         f"m {a} {b} {3 if j == i + 1 else 2}\n"
         for i, a in enumerate(names) for j, b in enumerate(names) if i < j))
+    return str(group)
+
+
+def test_info_on_a12_path(capsys, tmp_path):
+    """K needs w0 only on the maximal spherical subsets: here the whole
+    set, against 4,095 spherical subsets."""
+    group = _a_path(tmp_path, 12)
     start = time.perf_counter()
-    code, out, _ = run(capsys, "info", str(group))
+    code, out, _ = run(capsys, "info", group)
     assert code == 0 and "2-dimensional: no; K = 78" in out
     assert time.perf_counter() - start < 2.5
+
+
+def test_info_on_a13_path_exits_3_at_the_spherical_subset_cap(capsys,
+                                                              tmp_path):
+    """A13 has 8,191 spherical subsets, over MAX_SPHERICAL_SUBSETS: info
+    prints nothing on stdout and one error line on stderr."""
+    code, out, err = run(capsys, "info", _a_path(tmp_path, 13))
+    assert (code, out) == (3, "")
+    assert err == ("error: more than 5000 spherical subsets, "
+                   "over the cap MAX_SPHERICAL_SUBSETS\n")
 
 
 def test_scan_all_words(capsys):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      InvariantViolation, ParseError, PreconditionError,
                      ResourceLimitError, parse_system)
-from coxlang.core import Element
+from coxlang import core
+from coxlang.core import Element, k_constant
 from coxlang.language import canonical_word, language_words
-from coxlang.walls import Wall, inversion_walls
+from coxlang.walls import Wall, inversion_walls, small_roots
 from conftest import GROUPS, diagram as _diagram, path_edges as _path
 from oracles import (TitsBall, affine_a_ball_sizes, braid_closure,
-                     layout_matrices, tits_reduce)
+                     column_descents, layout_matrices, tits_reduce)
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
 
@@ -268,32 +269,37 @@ def test_matrices_match_row_major_generator_products(fname):
 
 @pytest.mark.parametrize("fname", SHIPPED)
 def test_keys_fix_elements_and_their_right_descents(fname):
-    """Over ball(5) of every group file (field degrees 1, 2, 8 and 12) and
-    each element's left and right neighbours: an element is interned under
-    its key, the key is the column heights of the matrix formed on first
-    read, two elements share a key exactly when their matrices are equal,
-    and the right descents stepped or read off the key are the column
-    signs."""
+    """Over elements of every origin in every group file (field degrees 1,
+    2, 8 and 12): ball(5), each element's left and right neighbours, their
+    inverses, the reflections in the small roots and every w0(T).  An
+    element is interned under its key, the key is the column heights of
+    the matrix formed on first read, two elements share a key exactly when
+    their matrices are equal, and the descents read off keys are the
+    column signs, of g's matrix on the right and of g⁻¹'s on the left."""
     system = parse_system((GROUPS / fname).read_text())
     elements = dict.fromkeys(system.ball(5))
     for g in list(elements):
         for s in range(system.n):
             elements[system.mul_gen(g, s)] = None
             elements[system.gen_mul(s, g)] = None
+    elements.update(dict.fromkeys([g.inverse() for g in elements]))
+    elements.update(dict.fromkeys(w.reflection for w in small_roots(system)))
+    elements.update(dict.fromkeys(system.longest_element(T)
+                                  for T in system.spherical_subsets()))
     for g in elements:
         assert system._elements[g.key] is g
         assert g.key == system._heights(g.mat)
-        assert (g._rdesc or g.right_descents()) == system._descents(g.mat)
+        assert g.right_descents() == column_descents(system, g.mat)
+        assert g.left_descents() == column_descents(system, g.inv)
     assert (len({g.key for g in elements}) == len({g.mat for g in elements})
             == len(elements))
 
 
 @pytest.mark.parametrize("fname", SHIPPED)
 def test_stepped_descents_match_column_signs(fname):
-    """Right descents stepped from g to g·s equal the full column-sign
-    test, for elements made by mixed left and right steps.  The ball is
-    walked longest first, so some steps the dihedral tail needs are not
-    yet taken and the sign test runs too."""
+    """Right descents stepped from g to g·s equal the column signs of g·s,
+    for elements made by mixed left and right steps, and the left
+    descents of every element made are the column signs of its inverse."""
     system = parse_system((GROUPS / fname).read_text())
     for g in reversed(system.ball(5 if fname == "a3tilde.cox" else 6)):
         for s in range(system.n):
@@ -301,46 +307,77 @@ def test_stepped_descents_match_column_signs(fname):
             left.right_descents()
             for t in range(system.n):
                 assert system.mul_gen(left, t)._rdesc is not None
-    for el in system._elements.values():
+    for el in list(system._elements.values()):
         if el._rdesc is not None:
-            assert el._rdesc == system._descents(el.mat)
+            assert el._rdesc == column_descents(system, el.mat)
+        assert el.left_descents() == column_descents(system, el.inv)
 
 
-def _count_sign_reads(monkeypatch, system):
-    """Record the key signs and the column signs that `system` reads."""
-    reads, columns = [], []
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_stepped_descents_do_not_depend_on_the_steps_taken(fname):
+    """A ball steps each element's right descents along its normal form, in
+    ShortLex order.  A second system reaches the same elements longest
+    first, each along its lex-largest reduced word, so most elements are
+    stepped to from another element by another letter; the descents agree."""
+    system, other = (parse_system((GROUPS / fname).read_text())
+                     for _ in range(2))
+    ball = system.ball(5)
+    for g in reversed(ball):
+        other.element(max(braid_closure(system, g.nf)))
+    assert len(other._elements) == len(system._elements)
+    for g in ball:
+        stepped = other._elements[g.key]._rdesc
+        assert stepped is not None and stepped == g._rdesc
+
+
+def _check_ball_sign_reads(monkeypatch, system, radius):
+    """Enumerate ball(radius) and check what signs it reads: no column sign
+    at all, and for each new element g·s at most one height sign per
+    neighbour t of s (m_st > 2) with t a right descent of g, read while
+    g's descents are stepped to g·s.  A full read of all n heights per
+    element exceeds that bound."""
+    reads, columns, per_step = [], [], []
     negative, sign = system._negative, system.root_sign
+    step, orders = system._stepped_descents, system.matrix.orders
+
+    def counted_step(g, key, s):
+        before = len(reads)
+        out = step(g, key, s)
+        per_step.append(len(reads) - before)
+        assert per_step[-1] <= sum(t != s and orders[s][t] != 2
+                                   for t in g.right_descents())
+        return out
+
     monkeypatch.setattr(system, "_negative",
                         lambda key, t: reads.append(t) or negative(key, t))
     monkeypatch.setattr(system, "root_sign",
                         lambda vec: columns.append(vec) or sign(vec))
-    return reads, columns
+    monkeypatch.setattr(system, "_stepped_descents", counted_step)
+    before = len(system._elements)
+    system.ball(radius)
+    assert not columns
+    assert len(per_step) == len(system._elements) - before
+    assert sum(per_step) == len(reads)
 
 
 def test_ball_makes_at_most_one_sign_test_per_new_element(monkeypatch):
     """Descents carried from step to step, not a sign test per column: a
-    ball over Q reads at most one key sign per new element and no column
-    sign at all."""
+    ball over Q reads no column sign, and each new element g·s at most one
+    height sign per neighbour of s that is a descent of g."""
     system = parse_system((GROUPS / "a3tilde.cox").read_text())
     assert system.field.degree == 1
-    before = len(system._elements)
-    reads, columns = _count_sign_reads(monkeypatch, system)
-    system.ball(10)
-    assert not columns
-    assert len(reads) <= len(system._elements) - before
+    _check_ball_sign_reads(monkeypatch, system, 10)
 
 
 @pytest.mark.parametrize("fname,degree", [("fig1.cox", 2),
                                           ("triangle_237.cox", 12)])
 def test_ball_reads_no_sign_over_number_fields(monkeypatch, fname, degree):
-    """Where a sign costs a field evaluation, a ball reads no key sign and
-    no column sign: every descent comes from the dihedral tail."""
+    """Where a sign costs a field evaluation, a ball reads no column sign,
+    and each new element g·s at most one height sign per neighbour of s
+    that is a descent of g."""
     system = parse_system((GROUPS / fname).read_text())
     assert system.field.degree == degree
-    reads, columns = _count_sign_reads(monkeypatch, system)
-    system.ball(8)
-    assert not columns
-    assert not reads
+    _check_ball_sign_reads(monkeypatch, system, 8)
 
 
 @pytest.mark.parametrize("fname,degree", [("a3tilde.cox", 1),
@@ -641,6 +678,31 @@ def test_spherical_subsets_match_the_subset_filter():
                          for T in itertools.combinations(range(system.n), size)
                          if system.is_finite_parabolic(T))
         assert system.spherical_subsets() == expected, path.name
+
+
+def test_spherical_subsets_stop_at_the_cap(monkeypatch):
+    """A path of k order-3 edges (A_k) has 2^k - 1 spherical subsets.  The
+    listing refuses once it passes MAX_SPHERICAL_SUBSETS, while a level
+    grows: every subset of A_40 is spherical, so it classifies at most
+    cap + n subsets, where the full second level alone is 780."""
+    monkeypatch.setattr(core, "MAX_SPHERICAL_SUBSETS", 63)
+    assert len(_diagram(6, _path([3] * 5)).spherical_subsets()) == 63
+    monkeypatch.setattr(core, "MAX_SPHERICAL_SUBSETS", 62)
+    with pytest.raises(ResourceLimitError, match="MAX_SPHERICAL_SUBSETS"):
+        _diagram(6, _path([3] * 5)).spherical_subsets()
+
+    monkeypatch.setattr(core, "MAX_SPHERICAL_SUBSETS", 50)
+    system, classified = _diagram(40, _path([3] * 39)), []
+    classify = system._classify_finite
+    monkeypatch.setattr(system, "_classify_finite",
+                        lambda T: classified.append(T) or classify(T))
+
+    def refuse(T):
+        raise AssertionError("w0 formed before the refusal")
+    monkeypatch.setattr(system, "longest_element", refuse)
+    with pytest.raises(ResourceLimitError):
+        k_constant(system)
+    assert len(classified) <= 50 + system.n
 
 
 def test_longest_elements(fig1, a3tilde):
