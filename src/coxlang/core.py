@@ -21,28 +21,30 @@ flat tuple of n·d ints, and a system interns one Element per key.  So two
 elements of one system are equal exactly when they are the same object,
 elements compare and hash by identity, and what an element memoises
 serves every caller: normal form, descent sets (shared per system),
-descent data (T, w, Pi), canonical word, and generator steps.
-`mul_gen(g, s)` stores g·s on g and g on g·s, and `gen_mul` likewise on
-the left, so a repeated step is a lookup.
+descent data (T, w, Pi), canonical word, right steps and the inverse.
+`mul_gen(g, s)` stores g·s on g and g on g·s, and `inverse()` stores g⁻¹
+on g and g on g⁻¹, so a repeated step or inverse is a lookup.
 
-Steps.  Column t of g·s is g(a_t) + c_st·g(a_s) for each neighbour t of
-s, with c_st = 2cos(pi/m_st) > 0, and column s is -g(a_s).  Heights are
-linear, so a right step changes the key in the same way, as in the
-numbers game (Björner & Brenti 2005, 4.3), and forms no matrix.  A left
-step s·g rewrites block s of each column, so it forms s·g's matrix from
-g's and reads the new key off it.  Generator matrices
-differ from the identity only in one row, so a one-sided step costs
-O(n^2) instead of O(n^3), and the columns a right step leaves alone are
-shared.  Every product the library forms is such a generator step: g·u
-is `mul_word(g, nf(u))`, and coset questions compare residue gates
-instead of forming g⁻¹·x.  The dense `_mat_mul` is their test oracle.
+Steps.  Elements step only on the right.  Column t of g·s is g(a_t) +
+c_st·g(a_s) for each neighbour t of s, with c_st = 2cos(pi/m_st) > 0,
+and column s is -g(a_s).  Heights are linear, so a right step changes
+the key in the same way, as in the numbers game (Björner & Brenti 2005,
+4.3), and forms no matrix.  A left step is a right step of the inverse,
+s·g = (g⁻¹·s)⁻¹, and the normal form strips left descents of g as right
+descents of g⁻¹.  Every product the library forms is such a step: g·u is
+`mul_word(g, nf(u))`, and coset questions compare residue gates instead
+of forming g⁻¹·x.  The dense `_mat_mul` is their test oracle.
 
-Matrices are formed only when read: left steps, left descents, inverses
-and walls read them; balls, descent data, residue gates and right-side
-scans do not.  An element's matrix, and its inverse's, is formed on
-first read by replaying the steps that made it, with the same-side kernel
-for the matrix and the opposite-side one for the inverse (see
-`Element._replay`), so no matrix is ever inverted.
+Matrices are formed only when read: inverses read them, and so do left
+steps, left descents and normal forms off the ball, and walls; balls,
+descent data, residue gates and right-side scans do not.  Generator
+matrices differ from the identity only in one row, so a one-sided step
+of a matrix costs O(n^2) instead of O(n^3), and the columns a right step
+leaves alone are shared.  An element's matrix is formed on first read by
+replaying the right steps that made it (see `Element.mat`).  If g = h·s
+then g⁻¹ = s·h⁻¹, so g⁻¹'s matrix is one left step of h⁻¹'s, the only
+left step of a matrix there is (see `Element.inverse`); no matrix is
+ever inverted.
 
 Descents.  s is a right descent of g exactly when g(a_s) is a negative
 root (Björner & Brenti 2005, 4.2), that is, when height s of g's key is
@@ -156,10 +158,11 @@ class CoxeterSystem:
         self._elements: dict[tuple, Element] = {}
         self._descent_sets: dict[frozenset, frozenset] = {}
         self._identity = self._element(self._heights(self._id_mat),
-                                       self._id_mat, self._id_mat)
+                                       self._id_mat)
         self._identity._nf = ()
+        self._identity._inverse = self._identity
         empty = self._descent_sets[frozenset()] = frozenset()
-        self._identity._rdesc = self._identity._ldesc = empty
+        self._identity._rdesc = empty
         self._gens = tuple(self.mul_gen(self._identity, s) for s in range(n))
 
         for s in range(n):
@@ -389,16 +392,16 @@ class CoxeterSystem:
             word = self.parse_word(word)
         return self.mul_word(self._identity, word)
 
-    def _element(self, key, mat=None, inv=None, slot=None) -> "Element":
+    def _element(self, key, mat=None, slot=None) -> "Element":
         """The one Element with this key, made on first sight.
 
-        A new element is given either its matrix and its inverse's or
-        `slot`, the step slot that holds the element it was stepped from
-        (see `Element._replay`); a left step gives its matrix as well.
+        A new element is given either its matrix or `slot`, the letter s
+        with g = h·s for the element h it was stepped from (see
+        `Element.mat`).
         """
         el = self._elements.get(key)
         if el is None:
-            el = self._elements[key] = Element(self, key, mat, inv, slot)
+            el = self._elements[key] = Element(self, key, mat, slot)
         return el
 
     def mul_word(self, g: "Element", word) -> "Element":
@@ -414,6 +417,8 @@ class CoxeterSystem:
             raise PreconditionError(f"letter {s} out of range")
         h = g._steps[s]
         if h is None:
+            if g.system is not self:
+                raise SystemMismatchError("element of a different system")
             key = self._key_rmul(g.key, s)
             h = g._steps[s] = self._element(key, slot=s)
             h._steps[s] = g
@@ -422,17 +427,12 @@ class CoxeterSystem:
         return h
 
     def gen_mul(self, s: int, g: "Element") -> "Element":
-        """s * g, memoised as in mul_gen, in the left-step slots; its key
-        is read off the matrix the step forms."""
+        """s * g, which is (g⁻¹·s)⁻¹: a right step of the inverse."""
         if not 0 <= s < self.n:
             raise PreconditionError(f"letter {s} out of range")
-        k = self.n + s
-        h = g._steps[k]
-        if h is None:
-            mat = self._gen_lmul(s, g.mat)
-            h = g._steps[k] = self._element(self._heights(mat), mat, slot=k)
-            h._steps[k] = g
-        return h
+        inv = g._inverse or g.inverse()
+        h = inv._steps[s] or self.mul_gen(inv, s)
+        return h._inverse or h.inverse()
 
     # ----- structure ------------------------------------------------------
 
@@ -605,62 +605,47 @@ def k_constant(system: CoxeterSystem) -> int:
 class Element:
     """A group element: its key plus memoised data.
 
-    Made only by `CoxeterSystem._element`.  `_steps[s]` is g·s and
-    `_steps[n + s]` is s·g, once taken; `_descent` is (T, w, Pi) and
-    `_canonical` the canonical word (see `language`).  `_mat` and `_inv`
-    are g's matrix and its inverse's once formed; until then `_slot` names
-    the step slot holding the element this one was stepped from.
+    Made only by `CoxeterSystem._element`.  `_steps[s]` is g·s once
+    taken; `_inverse` is g⁻¹ once formed, and g is kept on it in turn;
+    `_descent` is (T, w, Pi) and `_canonical` the canonical word (see
+    `language`).  `_mat` is g's matrix once formed; until then `_slot` is
+    the letter s with g = h·s, for the element h in `_steps[s]`.
     """
 
-    __slots__ = ("system", "key", "_mat", "_inv", "_slot", "_nf", "_rdesc",
-                 "_ldesc", "_steps", "_descent", "_canonical")
+    __slots__ = ("system", "key", "_mat", "_slot", "_inverse", "_nf",
+                 "_rdesc", "_steps", "_descent", "_canonical")
 
-    def __init__(self, system: CoxeterSystem, key, mat, inv, slot):
+    def __init__(self, system: CoxeterSystem, key, mat, slot):
         self.system = system
         self.key = key
         self._mat = mat
-        self._inv = inv
         self._slot = slot
+        self._inverse = None
         self._nf = None
         self._rdesc = None
-        self._ldesc = None
-        self._steps = [None] * (2 * system.n)
+        self._steps = [None] * system.n
         self._descent = None
         self._canonical = None
 
     @property
     def mat(self):
-        """The matrix of g, formed on first read."""
-        return self._mat if self._mat is not None else self._replay("_mat")
+        """The matrix of g, formed on first read: the chain g was stepped
+        from is walked back to a known matrix (the identity, at worst) and
+        replayed by right steps, keeping each matrix on the way."""
+        if self._mat is None:
+            system, chain, cur = self.system, [], self
+            while cur._mat is None:
+                chain.append(cur)
+                cur = cur._steps[cur._slot]
+            mat = cur._mat
+            for el in reversed(chain):
+                mat = el._mat = system._gen_rmul(mat, el._slot)
+        return self._mat
 
     @property
     def inv(self):
-        """The matrix of g⁻¹, formed on first read."""
-        return self._inv if self._inv is not None else self._replay("_inv")
-
-    def _replay(self, attr: str):
-        """Form the matrix of g (attr "_mat") or of g⁻¹ ("_inv").
-
-        If g = h·s, g's matrix is h's times sigma_s and g⁻¹ = s·h⁻¹; if
-        g = s·h, the sides swap.  So one step from the element g was
-        stepped from gives either matrix: the same-side kernel for g's,
-        the opposite-side one for g⁻¹'s.  The chain of such elements is
-        walked back to one whose matrix is known (the identity, at worst),
-        then replayed forward, and each matrix on the way is kept.
-        """
-        system, chain, cur = self.system, [], self
-        while getattr(cur, attr) is None:
-            chain.append(cur)
-            cur = cur._steps[cur._slot]
-        mat, n, inverse = getattr(cur, attr), system.n, attr == "_inv"
-        for el in reversed(chain):
-            k = el._slot
-            if (k < n) != inverse:
-                mat = system._gen_rmul(mat, k % n)
-            else:
-                mat = system._gen_lmul(k % n, mat)
-            setattr(el, attr, mat)
-        return mat
+        """The matrix of g⁻¹, read through `inverse()`."""
+        return self.inverse().mat
 
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
@@ -670,8 +655,21 @@ class Element:
         return self.system.mul_word(self, other.nf)
 
     def inverse(self) -> "Element":
-        system, inv = self.system, self.inv
-        return system._element(system._heights(inv), inv, self.mat)
+        """g⁻¹, kept on g and g on it.  If g = h·s then g⁻¹ = s·h⁻¹, so the
+        chain g was stepped from is walked back to an element whose
+        inverse is known (the identity, at worst), and each inverse on the
+        way forward is one left step of the last one's matrix."""
+        if self._inverse is None:
+            system, chain, cur = self.system, [], self
+            while cur._inverse is None:
+                chain.append(cur)
+                cur = cur._steps[cur._slot]
+            mat = cur._inverse.mat
+            for el in reversed(chain):
+                mat = system._gen_lmul(el._slot, mat)
+                inv = system._element(system._heights(mat), mat)
+                inv._mat, inv._inverse, el._inverse = mat, el, inv
+        return self._inverse
 
     def is_identity(self) -> bool:
         return self is self.system._identity
@@ -684,26 +682,25 @@ class Element:
         return self._rdesc
 
     def left_descents(self) -> frozenset[int]:
-        """{s : l(sg) < l(g)}, read off the signs of g⁻¹'s key."""
-        if self._ldesc is None:
-            system = self.system
-            self._ldesc = system._descents(system._heights(self.inv))
-        return self._ldesc
+        """{s : l(sg) < l(g)}, the right descents of g⁻¹."""
+        return self.inverse().right_descents()
 
     @property
     def nf(self) -> Word:
-        """ShortLex normal form, by greedy least-left-descent stripping,
-        down to an element whose normal form is known."""
+        """ShortLex normal form.  Its first letter is the least left
+        descent of g, the least right descent of g⁻¹, so g⁻¹ is walked
+        down by key steps to an element whose inverse's normal form is
+        known."""
         if self._nf is None:
-            letters, cur = [], self
-            while cur._nf is None:
-                desc = cur.left_descents()
+            system, letters, cur = self.system, [], self.inverse()
+            while cur._inverse is None or cur._inverse._nf is None:
+                desc = cur.right_descents()
                 if not desc:
                     raise InvariantViolation("non-identity element with no descent")
                 s = min(desc)
                 letters.append(s)
-                cur = self.system.gen_mul(s, cur)
-            self._nf = tuple(letters) + cur._nf
+                cur = system.mul_gen(cur, s)
+            self._nf = tuple(letters) + cur._inverse._nf
         return self._nf
 
     @property

@@ -17,9 +17,10 @@ from typing import NamedTuple
 
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
                    Word, k_constant)
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .language import (_finite_pairs, _gate_chain, _signature, _witness,
-                       canonical_word, descent_data, language_words)
+                       canonical_word, descent_data, language_words,
+                       reduced_word_count)
 
 Witness = tuple[Word, int]
 
@@ -73,17 +74,19 @@ def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
             if a != b:
                 break
             start += 1
-    # A step already taken is read from its slot; s·d sits at n + s.  Past
-    # the shorter word only the longer one steps.
-    n, best = system.n, 0
+    # a·d is (d⁻¹·a)⁻¹, and a step or an inverse already taken is read
+    # from its slot.  Past the shorter word only the longer one steps.
+    best = 0
     for a, b in zip(v[start:], vp[start:]):
-        d = d._steps[n + a] or system.gen_mul(a, d)
+        e = d._inverse or d.inverse()
+        e = e._steps[a] or system.mul_gen(e, a)
+        d = e._inverse or e.inverse()
         d = d._steps[b] or system.mul_gen(d, b)
         length = len(d._nf or d.nf)
         if length > best:
             best = length
     for a in v[len(vp):]:
-        d = d._steps[n + a] or system.gen_mul(a, d)
+        d = system.gen_mul(a, d)
         best = max(best, len(d._nf or d.nf))
     for b in vp[len(v):]:
         d = d._steps[b] or system.mul_gen(d, b)
@@ -178,13 +181,14 @@ def _ascent_values(system, ball, side, words, max_words):
     def neighbour(g, s):
         if right:
             return g._steps[s] or system.mul_gen(g, s)
-        return g._steps[n + s] or system.gen_mul(s, g)
+        return system.gen_mul(s, g)
 
     if words == "all":
         def value(g, s):
+            words_p = language_words(neighbour(g, s), max_words)
             return max(_pair_value(system, v, vp, None if right else s)
                        for v in language_words(g, max_words)
-                       for vp in language_words(neighbour(g, s), max_words))
+                       for vp in words_p)
     elif right:
         tails = {}
 
@@ -205,6 +209,37 @@ def _ascent_values(system, ball, side, words, max_words):
                     best, arg = val, s
         if best is not None:
             yield g.length, best, (g.nf, arg)
+
+
+def _refuse_word_pairs(system, ball, max_words) -> None:
+    """Raise ResourceLimitError, before any pair is walked, if a compared
+    pair (g, g·s) or (g, s·g) has more than max_words pairs of language
+    words.
+
+    |L(g)| is the product of the reduced-word counts of g's chunks, so it
+    is |L(Pi(g))| times that of w(g); it is kept per element for the
+    check, and no word is formed.
+    """
+    counts = {system.identity: 1}
+
+    def count(g):
+        chain = []
+        while g not in counts:
+            chain.append(g)
+            g = (g._descent or descent_data(g))[2]
+        c = counts[g]
+        for el in reversed(chain):
+            c = counts[el] = c * reduced_word_count(system, el._descent[0])
+        return c
+
+    n = system.n
+    for g in ball:
+        right, left = g.right_descents(), g.left_descents()
+        ascents = [system.mul_gen(g, s) for s in range(n) if s not in right]
+        ascents += [system.gen_mul(s, g) for s in range(n) if s not in left]
+        if count(g) * max(map(count, ascents), default=1) > max_words:
+            raise ResourceLimitError(
+                f"language word pair count exceeds cap {max_words}")
 
 
 def _running_bests(entries, radii) -> list[tuple[int, Witness | None]]:
@@ -232,13 +267,16 @@ def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
     max_ii ranges over g' = g·s (prefixes compared directly); max_iii over
     g' = s·g (prefixes compared across the left factor).  In "all" mode
     every pair of standard-language words is compared, not just the
-    canonical ones.
+    canonical ones, and a compared pair with more than max_words pairs of
+    words is refused before any pair is walked.
     """
     if words not in ("canonical", "all"):
         raise PreconditionError(f"unknown words mode {words!r}")
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     ball = system.ball(radius, max_ball)
+    if words == "all":
+        _refuse_word_pairs(system, ball, max_words)
     (max_ii, wit_ii), = _running_bests(
         _ascent_values(system, ball, "right", words, max_words), (radius,))
     (max_iii, wit_iii), = _running_bests(

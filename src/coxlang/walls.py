@@ -50,7 +50,9 @@ class Wall(NamedTuple):
         scale = sysm.field.scale
         mat = tuple(tuple(map(sub, e, scale(sysm.bform_dot(j, root), root)))
                     for j, e in enumerate(sysm._id_mat))
-        return sysm._element(sysm._heights(mat), mat, mat)
+        r = sysm._element(sysm._heights(mat), mat)
+        r._inverse = r
+        return r
 
     def __repr__(self):
         return f"Wall({self.system.word_str(self.reflection.nf)})"

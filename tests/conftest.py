@@ -62,6 +62,12 @@ def path_edges(labels):
     return {(k, k + 1): m for k, m in enumerate(labels)}
 
 
+def pumped_a3tilde_word(n):
+    """prpsrpt·(prsrpt)ⁿ·(psrt)ⁿ⁺¹, a normal form of length 10n + 11 in
+    groups/a3tilde.cox."""
+    return "prpsrpt" + "prsrpt" * n + "psrt" * (n + 1)
+
+
 _BALLS: dict = {}
 
 

@@ -393,6 +393,39 @@ def test_scan_all_words(capsys):
     assert "words all" in out
 
 
+A4T_TEXT = ("generators p q r s t\n"
+            "m p q 3\nm q r 3\nm r s 3\nm s t 3\nm t p 3\n"
+            "m p r 2\nm p s 2\nm q s 2\nm q t 2\nm r t 2\n")
+
+
+def test_scan_all_words_refuses_before_walking_any_pair(capsys, monkeypatch,
+                                                        tmp_path):
+    """A~4 at radius 11 has compared pairs with 589,824 pairs of language
+    words: the count of them, a product of reduced-word counts, refuses
+    the scan before any pair is walked (it ran for minutes unrefused)."""
+    from coxlang import experiments
+    calls = []
+    monkeypatch.setattr(experiments, "_pair_value",
+                        lambda *args: calls.append(args))
+    path = tmp_path / "a4tilde.cox"
+    path.write_text(A4T_TEXT)
+    code, out, err = run(capsys, "scan", str(path), "--radius", "11",
+                         "--all-words")
+    assert (code, out, calls) == (3, "", [])
+    assert err == "error: language word pair count exceeds cap 100000\n"
+
+
+def test_scan_all_words_caps_word_pairs_per_compared_pair(capsys):
+    """fig1 at radius 4 compares at most 8 pairs of words for one pair of
+    elements: --max-words 7 refuses it, and 8 gives the uncapped report."""
+    argv = ("scan", FIG1, "--radius", "4", "--all-words")
+    code, out, err = run(capsys, *argv, "--max-words", "7")
+    assert (code, out) == (3, "")
+    assert err == "error: language word pair count exceeds cap 7\n"
+    assert run(capsys, *argv, "--max-words", "8") == run(capsys, *argv)
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_prop_ok(capsys):
     code, out, _ = run(capsys, "prop", FIG1, "--radius", "3")
     assert code == 0

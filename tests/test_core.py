@@ -1,6 +1,7 @@
 """Core system construction, words, elements, balls, parabolics."""
 
 import itertools
+import sys
 import time
 from fractions import Fraction
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from coxlang import (CoxeterMatrix, CoxeterSystem, INF, InfiniteParabolicError,
                      InvariantViolation, ParseError, PreconditionError,
-                     ResourceLimitError, parse_system)
+                     ResourceLimitError, SystemMismatchError, parse_system)
 from coxlang import core
 from coxlang.core import Element, k_constant
 from coxlang.language import canonical_word, language_words
 from coxlang.walls import Wall, inversion_walls, small_roots
-from conftest import GROUPS, diagram as _diagram, path_edges as _path
+from conftest import (GROUPS, diagram as _diagram, path_edges as _path,
+                      pumped_a3tilde_word)
 from oracles import (TitsBall, affine_a_ball_sizes, braid_closure,
                      column_descents, layout_matrices, tits_reduce)
 
@@ -429,20 +431,20 @@ def _assert_inverse(system, g, word):
         if len(tits_reduce(system, back + (s,), max_letters=12)) < len(back)}
 
 
-def _creator_slots(g):
-    """The step slots of g's creator chain, up to a known inverse."""
-    slots = []
-    while g._inv is None:
-        slots.append(g._slot)
+def _chain_start(g):
+    """The element g's chain of right steps starts from: one that was
+    made with its matrix, by `inverse()` unless it is the identity or a
+    reflection."""
+    while g._slot is not None:
         g = g._steps[g._slot]
-    return slots
+    return g
 
 
 @pytest.mark.parametrize("fname,radius", [
     ("fig1.cox", 6), ("a3tilde.cox", 5), ("triangle_237.cox", 5)])
 def test_lazy_inverse_against_dense_product_and_rewriting(fname, radius):
-    """Each inverse is formed on first read from the creator chain, in a
-    fresh system each time: over a ball and its neighbours on both sides,
+    """Each inverse is formed on first read from the chain of right steps
+    that made the element, in a fresh system each time: over a ball and its neighbours on both sides,
     over elements made by left steps and then right steps, and around
     reflections made from their roots."""
     text = (GROUPS / fname).read_text()
@@ -469,8 +471,7 @@ def test_lazy_inverse_against_dense_product_and_rewriting(fname, radius):
     tail = tuple(range(system.n))
     mixed = {system.mul_word(x, tail): word + tail
              for x, word in lefts.items()}
-    assert any(slots and min(slots) < system.n <= max(slots)
-               for slots in map(_creator_slots, mixed))
+    assert any(not _chain_start(g).is_identity() for g in mixed)
     for g, word in mixed.items():
         _assert_inverse(system, g, word)
 
@@ -491,6 +492,66 @@ def test_lazy_inverse_against_dense_product_and_rewriting(fname, radius):
         for s in range(system.n):
             _assert_inverse(system, system.mul_gen(r, s), word + (s,))
             _assert_inverse(system, system.gen_mul(s, r), (s,) + word)
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_left_steps_are_right_steps_of_the_inverse(fname):
+    """Over ball(5) and its neighbours on both sides: g⁻¹ keeps g as its
+    inverse, s·g is the inverse of g⁻¹·s, and an element has one step
+    slot per generator, for right steps only."""
+    system = parse_system((GROUPS / fname).read_text())
+    elements = dict.fromkeys(system.ball(5))
+    for g in list(elements):
+        for s in range(system.n):
+            elements[system.mul_gen(g, s)] = None
+            elements[system.gen_mul(s, g)] = None
+    for g in elements:
+        assert g.inverse()._inverse is g
+        assert len(g._steps) == system.n
+        for s in range(system.n):
+            assert (system.gen_mul(s, g)
+                    is system.mul_gen(g.inverse(), s).inverse())
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_elements_longer_than_the_recursion_limit(side):
+    """An element of length 1,211 gets its normal form, its inverse and
+    both matrices, whether made by right steps or by left steps only."""
+    system = parse_system((GROUPS / "a3tilde.cox").read_text())
+    word = system.parse_word(pumped_a3tilde_word(120))
+    assert len(word) == 1_211 > sys.getrecursionlimit()
+    if side == "right":
+        g = system.element(word)
+    else:
+        g = system.identity
+        for s in reversed(word):
+            g = system.gen_mul(s, g)
+    assert g.nf == word
+    assert g.inverse().inverse() is g
+    assert g.inverse().nf == system.element(word[::-1]).nf
+    assert system._mat_mul(g.mat, g.inv) == system._id_mat
+
+
+def test_stepping_an_element_of_another_system_raises():
+    """mul_gen refuses an element of another system before it steps or
+    writes anything, and leaves both systems as they were; gen_mul, a
+    right step of the inverse, refuses it too."""
+    tri = parse_system((GROUPS / "triangle_333.cox").read_text())
+    fig1 = parse_system((GROUPS / "fig1.cox").read_text())
+    g = tri.element((1, 2))
+    tri_keys, fig1_keys = dict(tri._elements), dict(fig1._elements)
+    steps = list(g._steps)
+    assert steps[0] is None
+    for s in range(fig1.n):
+        if steps[s] is None:
+            with pytest.raises(SystemMismatchError):
+                fig1.mul_gen(g, s)
+    assert tri._elements == tri_keys and fig1._elements == fig1_keys
+    assert g._steps == steps
+    h = tri.mul_gen(g, 0)
+    assert h.system is tri and h.nf == (1, 2, 0)
+    with pytest.raises(SystemMismatchError):
+        fig1.gen_mul(0, g)
 
 
 def test_degree_144_field_against_rewriting_oracle():

@@ -8,7 +8,7 @@ import pytest
 from coxlang import (CoxeterSystem, PreconditionError, ResourceLimitError,
                      divergence_scan, ft_pair_divergence, ft_scan, k_constant,
                      parse_system, prop_main_scan)
-from conftest import GROUPS, diagram, path_edges
+from conftest import GROUPS, diagram, path_edges, pumped_a3tilde_word
 from coxlang import experiments
 from coxlang.experiments import (_pair_value, _tail_value, divergence_tsv,
                                  ft_text, ft_tsv, prop_text, prop_tsv)
@@ -60,6 +60,24 @@ def test_pair_divergence_regression(fig1):
     assert value <= 5 * k_constant(fig1)
     assert ft_pair_divergence(g, fig1.mul_gen(g, 1), "right", 1) == 1
     assert ft_pair_divergence(g, fig1.gen_mul(2, g), "left", 2) == 1
+
+
+PUMPED_DIVERGENCE = {0: 6, 1: 10, 2: 16, 3: 18, 4: 20, 5: 24, 6: 28, 7: 30,
+                     10: 40, 20: 76, 40: 140, 80: 276}
+
+
+def test_pumped_a3tilde_family_diverges_off_the_ball(a3tilde):
+    """g_n = prpsrpt·(prsrpt)ⁿ·(psrt)ⁿ⁺¹ is its own normal form, of length
+    10n + 11, and the canonical words of g_n and g_n·p drift apart as n
+    grows: a right-side pair far outside any ball a scan reaches."""
+    p = a3tilde.gen_index("p")
+    for n, value in PUMPED_DIVERGENCE.items():
+        word = a3tilde.parse_word(pumped_a3tilde_word(n))
+        g = a3tilde.element(word)
+        if n <= 7:
+            assert g.nf == word and g.length == 10 * n + 11
+        assert ft_pair_divergence(g, a3tilde.mul_gen(g, p), "right",
+                                  p) == value
 
 
 def test_pair_divergence_preconditions(fig1):

@@ -207,20 +207,21 @@ def test_reduced_words_cap(monkeypatch):
 def test_reduced_word_count_of_a5_forms_no_word(monkeypatch):
     """w0 of A5 has 292,864 reduced words (Stanley 1984): the chain count
     finds that over the 720 elements of A5, one step per edge of the weak
-    order (1,800) besides the 15 that form w0, and reduced_words refuses
-    it from the count, forming no word and keeping nothing."""
+    order (1,800) besides the 15 that form w0 and the 15 with which nf(w0)
+    walks w0⁻¹ down to the identity, and reduced_words refuses it from the
+    count, forming no word and keeping nothing."""
     system = diagram(5, path_edges([3, 3, 3, 3]))
     steps = []
     real = system.mul_gen
     monkeypatch.setattr(system, "mul_gen",
                         lambda g, s: steps.append(s) or real(g, s))
     assert language.reduced_word_count(system, range(5)) == 292_864
-    assert len(steps) == 1_800 + 15
+    assert len(steps) == 1_800 + 15 + 15
     with pytest.raises(ResourceLimitError,
                        match=r"^w0\(\{g0,g1,g2,g3,g4\}\) has more than 200000 "
                              r"reduced words$"):
         reduced_words(system, range(5))
-    assert len(steps) == 1_800 + 15
+    assert len(steps) == 1_800 + 15 + 15
     assert frozenset(range(5)) not in system._reduced_words
 
 
