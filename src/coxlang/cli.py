@@ -207,7 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--all-words", action="store_true")
-    p.add_argument("--max-words", type=int, default=DEFAULT_WORD_CAP)
+    p.add_argument("--max-words", type=int, default=DEFAULT_WORD_CAP,
+                   help="cap on the prefix pairs of one --all-words pair")
     p.add_argument("--max-ball", type=int, default=DEFAULT_BALL_CAP)
     p.add_argument("--format", default="tsv", choices=("tsv", "text"),
                    dest="fmt")

@@ -176,7 +176,7 @@ class CoxeterSystem:
         self._w0_cache: dict[frozenset, Element] = {}
         self._finite_cache: dict[frozenset, bool] = {}
         self._reduced_words: dict[frozenset, tuple[Word, ...]] = {}
-        self._chain_counts: dict[frozenset, int] = {}
+        self._weak_orders: dict[frozenset, tuple] = {}
         self._small_roots: frozenset | None = None
         self._chunk_walls: dict[frozenset, tuple] = {}
         self._spherical: tuple[tuple[int, ...], ...] | None = None
@@ -415,10 +415,10 @@ class CoxeterSystem:
         descents are known, those of g·s are stepped from them."""
         if not 0 <= s < self.n:
             raise PreconditionError(f"letter {s} out of range")
+        if g.system is not self:
+            raise SystemMismatchError("element of a different system")
         h = g._steps[s]
         if h is None:
-            if g.system is not self:
-                raise SystemMismatchError("element of a different system")
             key = self._key_rmul(g.key, s)
             h = g._steps[s] = self._element(key, slot=s)
             h._steps[s] = g
@@ -428,10 +428,9 @@ class CoxeterSystem:
 
     def gen_mul(self, s: int, g: "Element") -> "Element":
         """s * g, which is (g⁻¹·s)⁻¹: a right step of the inverse."""
-        if not 0 <= s < self.n:
-            raise PreconditionError(f"letter {s} out of range")
-        inv = g._inverse or g.inverse()
-        h = inv._steps[s] or self.mul_gen(inv, s)
+        if g.system is not self:
+            raise SystemMismatchError("element of a different system")
+        h = self.mul_gen(g._inverse or g.inverse(), s)
         return h._inverse or h.inverse()
 
     # ----- structure ------------------------------------------------------

@@ -13,14 +13,15 @@ independent of iteration order.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
                    Word, k_constant)
 from .errors import PreconditionError, ResourceLimitError
 from .language import (_finite_pairs, _gate_chain, _signature, _witness,
-                       canonical_word, descent_data, language_words,
-                       reduced_word_count)
+                       canonical_word, chunk_decomposition, descent_data,
+                       weak_order)
 
 Witness = tuple[Word, int]
 
@@ -58,15 +59,26 @@ class PropMainReport(NamedTuple):
         return not self.failures
 
 
+def _step(d: Element, a, b) -> Element:
+    """a·d·b for letters a and b, None for no step; a·d is (d⁻¹·a)⁻¹, and
+    a step or an inverse already taken is read from its slot."""
+    if a is not None:
+        e = d._inverse or d.inverse()
+        e = e._steps[a] or d.system.mul_gen(e, a)
+        d = e._inverse or e.inverse()
+    if b is not None:
+        d = d._steps[b] or d.system.mul_gen(d, b)
+    return d
+
+
 def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
     """max over i >= 1 of l(v(i)^-1 [s] vp(i)), prefixes saturating.
 
-    The difference element is updated by one generator step on each side
-    per i.  Elements are interned, and each keeps its steps and normal
-    form, so a difference element met before costs two lookups per i.  On
-    A~3 it takes only a few hundred values over a whole scan.  With no s,
-    the difference is the identity along the common prefix of v and vp,
-    so the steps start where they first differ.
+    The difference element takes one `_step` per i, past the shorter
+    word on the longer side only.  Elements are interned and keep their
+    steps and normal form, and on A~3 the difference takes only a few
+    hundred values over a whole scan.  With no s, it is the identity along
+    the common prefix of v and vp, so the steps start where they differ.
     """
     start, d = 0, system.identity if s is None else system.generator(s)
     if s is None:
@@ -74,23 +86,12 @@ def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
             if a != b:
                 break
             start += 1
-    # a·d is (d⁻¹·a)⁻¹, and a step or an inverse already taken is read
-    # from its slot.  Past the shorter word only the longer one steps.
     best = 0
-    for a, b in zip(v[start:], vp[start:]):
-        e = d._inverse or d.inverse()
-        e = e._steps[a] or system.mul_gen(e, a)
-        d = e._inverse or e.inverse()
-        d = d._steps[b] or system.mul_gen(d, b)
+    for a, b in zip_longest(v[start:], vp[start:]):
+        d = _step(d, a, b)
         length = len(d._nf or d.nf)
         if length > best:
             best = length
-    for a in v[len(vp):]:
-        d = system.gen_mul(a, d)
-        best = max(best, len(d._nf or d.nf))
-    for b in vp[len(v):]:
-        d = d._steps[b] or system.mul_gen(d, b)
-        best = max(best, len(d._nf or d.nf))
     return best
 
 
@@ -165,6 +166,32 @@ def _tail_value(system: CoxeterSystem, g: Element, s: int,
     return value
 
 
+def _walk_value(g: Element, gp: Element, d: Element, max_pairs: int) -> int:
+    """The worst `_pair_value` over every pair of language words of g and
+    g′, d being the difference of their empty prefixes.
+
+    The length-i prefixes of g's words are base·u, for the chunk base
+    below i and the u of one row of `weak_order(T)`, so g's rows are its
+    chunks' tables joined; a word that has ended keeps one prefix, its own
+    parent.  Words of g and g′ are chosen independently, so each a⁻¹·d·b
+    is one `_step` past that of the parents of a and b, and a walk of
+    Σ_i |P_i(g)|·|P_i(g′)| steps over max_pairs raises before any step.
+    """
+    rows = list(zip_longest(
+        *([row for c in reversed(chunk_decomposition(x))
+           for row in weak_order(x.system, c.parabolic)[1:]] for x in (g, gp)),
+        fillvalue=((None, ((0, None),)),)))
+    if sum(len(row) * len(row_p) for row, row_p in rows) > max_pairs:
+        raise ResourceLimitError(f"prefix pair count exceeds cap {max_pairs}")
+    level, best = [[d]], 0
+    for row, row_p in rows:
+        steps_p = [down[0] for _, down in row_p]
+        level = [[_step(level[j][jp], t, tp) for jp, tp in steps_p]
+                 for j, t in (down[0] for _, down in row)]
+        best = max(best, *(len(e._nf or e.nf) for diffs in level for e in diffs))
+    return best
+
+
 def _ascent_values(system, ball, side, words, max_words):
     """(l(g), value, (nf(g), s)) for each g in the ball with an ascent, in
     ball order: the largest value over g's ascents s, the least s among
@@ -172,9 +199,9 @@ def _ascent_values(system, ball, side, words, max_words):
 
     Side "right" compares g with g·s; side "left" compares g with s·g,
     shifting the prefixes of g by s.  In "all" mode the value is the worst
-    over every pair of standard-language words, else that of the canonical
-    words, which on the right side is read from the chunk tails without
-    forming g·s.
+    over every pair of standard-language words, walked by prefix levels,
+    else that of the canonical words, which on the right side is read from
+    the chunk tails without forming g·s.
     """
     right, n = side == "right", system.n
 
@@ -185,10 +212,8 @@ def _ascent_values(system, ball, side, words, max_words):
 
     if words == "all":
         def value(g, s):
-            words_p = language_words(neighbour(g, s), max_words)
-            return max(_pair_value(system, v, vp, None if right else s)
-                       for v in language_words(g, max_words)
-                       for vp in words_p)
+            d = system.identity if right else system.generator(s)
+            return _walk_value(g, neighbour(g, s), d, max_words)
     elif right:
         tails = {}
 
@@ -209,37 +234,6 @@ def _ascent_values(system, ball, side, words, max_words):
                     best, arg = val, s
         if best is not None:
             yield g.length, best, (g.nf, arg)
-
-
-def _refuse_word_pairs(system, ball, max_words) -> None:
-    """Raise ResourceLimitError, before any pair is walked, if a compared
-    pair (g, g·s) or (g, s·g) has more than max_words pairs of language
-    words.
-
-    |L(g)| is the product of the reduced-word counts of g's chunks, so it
-    is |L(Pi(g))| times that of w(g); it is kept per element for the
-    check, and no word is formed.
-    """
-    counts = {system.identity: 1}
-
-    def count(g):
-        chain = []
-        while g not in counts:
-            chain.append(g)
-            g = (g._descent or descent_data(g))[2]
-        c = counts[g]
-        for el in reversed(chain):
-            c = counts[el] = c * reduced_word_count(system, el._descent[0])
-        return c
-
-    n = system.n
-    for g in ball:
-        right, left = g.right_descents(), g.left_descents()
-        ascents = [system.mul_gen(g, s) for s in range(n) if s not in right]
-        ascents += [system.gen_mul(s, g) for s in range(n) if s not in left]
-        if count(g) * max(map(count, ascents), default=1) > max_words:
-            raise ResourceLimitError(
-                f"language word pair count exceeds cap {max_words}")
 
 
 def _running_bests(entries, radii) -> list[tuple[int, Witness | None]]:
@@ -267,16 +261,14 @@ def ft_scan(system: CoxeterSystem, radius: int, words: str = "canonical",
     max_ii ranges over g' = g·s (prefixes compared directly); max_iii over
     g' = s·g (prefixes compared across the left factor).  In "all" mode
     every pair of standard-language words is compared, not just the
-    canonical ones, and a compared pair with more than max_words pairs of
-    words is refused before any pair is walked.
+    canonical ones, and a compared pair with more than max_words prefix
+    pairs is refused before it is walked.
     """
     if words not in ("canonical", "all"):
         raise PreconditionError(f"unknown words mode {words!r}")
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     ball = system.ball(radius, max_ball)
-    if words == "all":
-        _refuse_word_pairs(system, ball, max_words)
     (max_ii, wit_ii), = _running_bests(
         _ascent_values(system, ball, "right", words, max_words), (radius,))
     (max_iii, wit_iii), = _running_bests(

@@ -101,28 +101,37 @@ def canonical_word(g: Element) -> Word:
 MAX_REDUCED_WORDS = 200_000
 
 
-def reduced_word_count(system: CoxeterSystem, T) -> int:
-    """The number of reduced words of w0(T); kept on the system per T.
+def weak_order(system: CoxeterSystem, T) -> tuple[tuple, ...]:
+    """The weak order of W_T, one row per length; kept on the system per T.
 
-    They are the maximal chains from the identity in the weak order of
-    W_T, so one pass over its elements, level by level, counts them: each
-    ascent t of u passes the chains reaching u on to u·t.  No word is
-    formed.
+    Row i lists the elements u of length i, each with the pairs (j, t)
+    for which u·t is element j of row i - 1, one generator step each.
+    Every u lies below w0(T) (Björner & Brenti 2005, Ch. 3), so row i is
+    the set of length-i prefixes of the reduced words of w0(T).
     """
     T = frozenset(T)
-    count = system._chain_counts.get(T)
-    if count is None:
-        ts, level = sorted(T), {system.identity: 1}
+    rows = system._weak_orders.get(T)
+    if rows is None:
+        ts, rows = sorted(T), [((system.identity, ()),)]
         for _ in range(system.longest_element(T).length):
             above = {}
-            for u, chains in level.items():
+            for j, (u, _) in enumerate(rows[-1]):
                 for t in ts:
                     if t not in u.right_descents():
-                        v = system.mul_gen(u, t)
-                        above[v] = above.get(v, 0) + chains
-            level = above
-        count = system._chain_counts[T] = sum(level.values())
-    return count
+                        above.setdefault(system.mul_gen(u, t), []).append((j, t))
+            rows.append(tuple((v, tuple(down)) for v, down in above.items()))
+        rows = system._weak_orders[T] = tuple(rows)
+    return rows
+
+
+def reduced_word_count(system: CoxeterSystem, T) -> int:
+    """The number of reduced words of w0(T), the maximal chains from the
+    identity in `weak_order(system, T)`: row by row, the chains reaching
+    u are summed over its pairs (j, t).  No word is formed."""
+    chains = (1,)
+    for row in weak_order(system, T)[1:]:
+        chains = tuple(sum(chains[j] for j, _ in down) for _, down in row)
+    return chains[0]
 
 
 def reduced_words(system: CoxeterSystem, T) -> tuple[Word, ...]:
@@ -170,14 +179,6 @@ def language_words(g: Element, max_words: int = DEFAULT_WORD_CAP) -> tuple[Word,
                  for combo in itertools.product(*chunk_words))
 
 
-def _pi_chain(g: Element, steps: int) -> list[Element]:
-    """[g, Pi(g), ..., Pi^steps(g)], saturating at the identity."""
-    chain = [g]
-    for _ in range(steps):
-        chain.append(descent_data(chain[-1])[2])
-    return chain
-
-
 def _finite_pairs(system: CoxeterSystem) -> list[tuple[int, int]]:
     """All (p, r) with p <= r spanning a finite parabolic (p = r allowed)."""
     return sorted((T[0], T[-1]) for T in system.spherical_subsets()
@@ -215,8 +216,12 @@ def _signature(x: Element, pairs, signatures: dict) -> tuple:
 
 
 def _gate_chain(g: Element, pairs, signatures: dict) -> list[tuple]:
-    """The signatures of g, Pi(g), Pi^2(g) and Pi^3(g)."""
-    return [_signature(x, pairs, signatures) for x in _pi_chain(g, 3)]
+    """The signatures of g, Pi(g), Pi^2(g) and Pi^3(g), saturating at the
+    identity."""
+    chain = [g]
+    while len(chain) < 4:
+        chain.append(descent_data(chain[-1])[2])
+    return [_signature(x, pairs, signatures) for x in chain]
 
 
 # The (k, k') of the witness search in order: by increasing k + k', and

@@ -398,32 +398,62 @@ A4T_TEXT = ("generators p q r s t\n"
             "m p r 2\nm p s 2\nm q s 2\nm q t 2\nm r t 2\n")
 
 
-def test_scan_all_words_refuses_before_walking_any_pair(capsys, monkeypatch,
-                                                        tmp_path):
-    """A~4 at radius 11 has compared pairs with 589,824 pairs of language
-    words: the count of them, a product of reduced-word counts, refuses
-    the scan before any pair is walked (it ran for minutes unrefused)."""
-    from coxlang import experiments
-    calls = []
-    monkeypatch.setattr(experiments, "_pair_value",
-                        lambda *args: calls.append(args))
+def _a4tilde(tmp_path):
     path = tmp_path / "a4tilde.cox"
     path.write_text(A4T_TEXT)
-    code, out, err = run(capsys, "scan", str(path), "--radius", "11",
-                         "--all-words")
-    assert (code, out, calls) == (3, "", [])
-    assert err == "error: language word pair count exceeds cap 100000\n"
+    return str(path)
 
 
-def test_scan_all_words_caps_word_pairs_per_compared_pair(capsys):
-    """fig1 at radius 4 compares at most 8 pairs of words for one pair of
-    elements: --max-words 7 refuses it, and 8 gives the uncapped report."""
-    argv = ("scan", FIG1, "--radius", "4", "--all-words")
-    code, out, err = run(capsys, *argv, "--max-words", "7")
+def test_scan_all_words_refuses_a_pair_before_its_walk(capsys, monkeypatch):
+    """A compared pair over --max-words is refused from the sum of its
+    prefix pairs, before any `_step` of its walk: the pairs walked before
+    it took their steps, and it took none."""
+    from coxlang import experiments
+    steps, at_entry = [], []
+    real_step, real_walk = experiments._step, experiments._walk_value
+
+    def step(*args):
+        steps.append(args)
+        return real_step(*args)
+
+    def walk(*args):
+        at_entry.append(len(steps))
+        return real_walk(*args)
+    monkeypatch.setattr(experiments, "_step", step)
+    monkeypatch.setattr(experiments, "_walk_value", walk)
+    code, out, err = run(capsys, "scan", FIG1, "--radius", "4", "--all-words",
+                         "--max-words", "12")
     assert (code, out) == (3, "")
-    assert err == "error: language word pair count exceeds cap 7\n"
-    assert run(capsys, *argv, "--max-words", "8") == run(capsys, *argv)
+    assert err == "error: prefix pair count exceeds cap 12\n"
+    assert len(at_entry) > 1 and 0 < at_entry[-1] == len(steps)
+
+
+def test_scan_all_words_caps_prefix_pairs_per_compared_pair(capsys):
+    """fig1 at radius 4 compares at most 13 prefix pairs, summed over the
+    prefix lengths, for one pair of elements: --max-words 12 refuses it,
+    and 13 gives the uncapped report."""
+    argv = ("scan", FIG1, "--radius", "4", "--all-words")
+    code, out, err = run(capsys, *argv, "--max-words", "12")
+    assert (code, out) == (3, "")
+    assert err == "error: prefix pair count exceeds cap 12\n"
+    assert run(capsys, *argv, "--max-words", "13") == run(capsys, *argv)
     assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("group,radius,row", [
+    ("a4tilde", "8", "8\t10\t6\t7\tpqprq\tp"),
+    ("a4tilde", "11", "11\t10\t10\t9\tpqprqpsrq\tp"),
+    ("a3tilde", "12", "12\t6\t6\t5\tprpsr\tp"),
+], ids=["a4tilde-8", "a4tilde-11", "a3tilde-12"])
+def test_scan_all_words_matches_the_word_pair_product(capsys, tmp_path, group,
+                                                      radius, row):
+    """Under the default cap, each reports what comparing every pair of
+    language words reported with no cap.  A~4 at radius 11 has compared
+    pairs with 589,824 pairs of words, and took minutes that way."""
+    path = _a4tilde(tmp_path) if group == "a4tilde" else A3T
+    code, out, _ = run(capsys, "scan", path, "--radius", radius, "--all-words")
+    assert (code, out) == (0, "radius\tK\tmax_ii\tmax_iii\twitness_g_nf"
+                              f"\twitness_s\n{row}\n")
 
 
 def test_prop_ok(capsys):

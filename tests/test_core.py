@@ -554,6 +554,19 @@ def test_stepping_an_element_of_another_system_raises():
         fig1.gen_mul(0, g)
 
 
+def test_stepping_refuses_another_system_before_reading_a_slot(fig1, a3tilde):
+    """The system is checked before any slot is read: a step the other
+    system already took is not returned, and a letter past the other
+    system's rank is not looked up."""
+    st = fig1.element("st")
+    assert fig1.identity._steps[0] is not None
+    for step in (lambda: a3tilde.mul_gen(fig1.identity, 0),
+                 lambda: a3tilde.mul_gen(st, 3),
+                 lambda: a3tilde.gen_mul(3, st)):
+        with pytest.raises(SystemMismatchError):
+            step()
+
+
 def test_degree_144_field_against_rewriting_oracle():
     # Orders 7, 8 and 9 need a field of degree 144, whose values have
     # coefficients far larger than the values themselves.  Word rewriting

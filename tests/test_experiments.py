@@ -1,6 +1,7 @@
 """Fellow-traveller scans, divergence tables, residue witness scans."""
 
 import itertools
+import operator
 import tracemalloc
 
 import pytest
@@ -12,8 +13,9 @@ from conftest import GROUPS, diagram, path_edges, pumped_a3tilde_word
 from coxlang import experiments
 from coxlang.experiments import (_pair_value, _tail_value, divergence_tsv,
                                  ft_text, ft_tsv, prop_text, prop_tsv)
+from coxlang.core import DEFAULT_WORD_CAP
 from coxlang.language import (canonical_word, chunk_decomposition,
-                              descent_data)
+                              descent_data, language_words, weak_order)
 import oracles
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
@@ -161,6 +163,64 @@ def test_tail_values_equal_the_public_oracle(name):
     assert len(system._elements) == size
     assert skipped == sum(system.n - len(g.right_descents())
                           for g in ball if g.length == last)
+
+
+def _compared_pairs(system, ball):
+    """(g, g′, d) for every compared pair of either side: g′ = g·s with
+    d = 1, and g′ = s·g with d = s."""
+    return [(g, gp, d) for g in ball for s in range(system.n)
+            for gp, d in ((system.mul_gen(g, s), system.identity),
+                          (system.gen_mul(s, g), system.generator(s)))
+            if gp.length > g.length]
+
+
+def _prefix_counts(g):
+    """|P_i(g)| for i = 1..l(g), from the weak-order rows of g's chunks."""
+    return [len(row) for c in reversed(chunk_decomposition(g))
+            for row in weak_order(g.system, c.parabolic)[1:]]
+
+
+@pytest.mark.parametrize("name,radius",
+                         [(name, 6) for name in SHIPPED] + [("A~4", 5)])
+def test_prefix_walk_equals_the_word_pair_product(name, radius):
+    """For every compared pair of the ball, on both sides, the walk over
+    prefix levels equals the max of `_pair_value` over every pair of
+    language words, and the rows it walks have as many elements as the
+    words have distinct prefixes at each length."""
+    system = _shipped_or_a4(name)
+    words = {}
+    for g, gp, d in _compared_pairs(system, system.ball(radius)):
+        for x in (g, gp):
+            if x not in words:
+                words[x] = language_words(x)
+                prefixes = [{system.mul_word(system.identity, v[:i])
+                             for v in words[x]}
+                            for i in range(1, x.length + 1)]
+                assert _prefix_counts(x) == list(map(len, prefixes))
+        shift = None if d.is_identity() else d.nf[0]
+        assert experiments._walk_value(g, gp, d, DEFAULT_WORD_CAP) == max(
+            _pair_value(system, v, vp, shift)
+            for v in words[g] for vp in words[gp]), (g, gp, d)
+
+
+def test_prefix_walk_takes_one_step_per_prefix_pair(monkeypatch, a3tilde):
+    """On A~3 at radius 10 the walks take one `_step` per prefix pair,
+    Σ_i |P_i(g)|·|P_i(g′)| per compared pair, the sum the cap reads."""
+    steps = 0
+    real = experiments._step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return real(*args)
+    monkeypatch.setattr(experiments, "_step", counted)
+    ft_scan(a3tilde, 10, words="all")
+    expected = 0
+    for g, gp, _ in _compared_pairs(a3tilde, a3tilde.ball(10)):
+        counts, counts_p = _prefix_counts(g), _prefix_counts(gp)
+        counts += [1] * (len(counts_p) - len(counts))
+        expected += sum(map(operator.mul, counts, counts_p))
+    assert steps == expected
 
 
 def test_divergence_scan_interns_only_the_ball():

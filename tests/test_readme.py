@@ -28,7 +28,7 @@ EXAMPLES = _examples()
 
 
 def test_readme_has_its_examples():
-    assert len(EXAMPLES) == 8
+    assert len(EXAMPLES) == 9
 
 
 @pytest.mark.parametrize("argv,shown", EXAMPLES,
