@@ -12,6 +12,12 @@ closed the pipe early (`coxlang automaton ... --format json | head -1`)
 is an error line on stderr and exit 2, not a traceback, also when
 PYTHONUNBUFFERED makes stdout unbuffered.
 
+`run`, the process entry point, calls `main`, flushes stderr and ends the
+process with `os._exit`: what is left then is interpreter teardown, which
+frees every object and module only for the OS to reclaim the memory anyway.
+So `atexit` handlers do not run in a `coxlang` process; calling `main` in
+process keeps the normal exit.
+
 Each command imports the modules it runs inside its handler, so a process
 compiles and loads only those: `info` needs no more than `core`.
 """
@@ -22,6 +28,7 @@ import argparse
 import io
 import os
 import sys
+from typing import NoReturn
 
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, INF, CoxeterSystem,
                    k_constant, parse_system)
@@ -292,5 +299,16 @@ def _run(argv) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Process entry point: run `main`, then end the process at once."""
+    code = main()
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            pass  # as the interpreter's own exit ignores it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -183,7 +183,11 @@ class CoxeterSystem:
 
     @classmethod
     def from_pairs(cls, names, orders: dict) -> "CoxeterSystem":
-        """Build a system from {('a','b'): m} pairs; omitted pairs are INF."""
+        """Build a system from {('a','b'): m} pairs; omitted pairs are INF.
+
+        A pair naming an unknown generator, or two orders for one pair,
+        raise PreconditionError.
+        """
         names = tuple(names)
         idx = {nm: i for i, nm in enumerate(names)}
         n = len(names)
@@ -191,6 +195,13 @@ class CoxeterSystem:
         for i in range(n):
             table[i][i] = 1
         for (a, b), m in orders.items():
+            for nm in (a, b):
+                if nm not in idx:
+                    raise PreconditionError(f"unknown generator {nm!r}")
+            if orders.get((b, a), m) != m:
+                raise PreconditionError(
+                    f"conflicting orders for pair ({a}, {b}): "
+                    f"{m} and {orders[b, a]}")
             i, j = idx[a], idx[b]
             table[i][j] = table[j][i] = m
         return cls(CoxeterMatrix(names, tuple(tuple(r) for r in table)))
@@ -547,6 +558,8 @@ class CoxeterSystem:
 
     def ball(self, radius: int, max_elements: int = DEFAULT_BALL_CAP) -> list["Element"]:
         """All elements of length <= radius, in (length, ShortLex) order."""
+        if radius < 0:
+            raise PreconditionError("radius must be nonnegative")
         return self._closure(range(self.n), radius, max_elements)
 
     def parabolic_elements(self, T, max_elements: int = DEFAULT_BALL_CAP) -> list["Element"]:

@@ -208,6 +208,87 @@ def test_a_closed_pipe_is_a_usage_error(tmp_path, unbuffered):
     assert _one_error_line(err).startswith("error: cannot write output: ")
 
 
+@pytest.mark.parametrize("code, argv", [
+    (0, ("info", FIG1)),
+    (2, ("info", str(GROUPS / "missing.cox"))),
+    (3, ("automaton", FIG1, "--max-states", "0")),
+])
+def test_the_process_entry_reports_as_main(capsys, code, argv):
+    """`python -m coxlang.cli` ends its process without interpreter
+    teardown, yet gives the exit code, stdout and stderr of `main`."""
+    proc = _coxlang_process(*argv, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert (proc.returncode, out.decode(), err.decode()) == expected
+
+
+def test_the_process_entry_writes_the_output_file(capsys, tmp_path):
+    argv = ("automaton", FIG1, "--format", "json", "--output")
+    proc = _coxlang_process(*argv, str(tmp_path / "child.json"),
+                            stdout=subprocess.PIPE)
+    assert proc.communicate(timeout=120) == (b"", b"")
+    assert proc.returncode == 0
+    assert run(capsys, *argv, str(tmp_path / "main.json")) == (0, "", "")
+    assert ((tmp_path / "child.json").read_bytes()
+            == (tmp_path / "main.json").read_bytes())
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_the_process_entry_sends_all_of_a_large_output(capsys, tmp_path,
+                                                       unbuffered):
+    """A~4's 4 MB automaton, read through a pipe to the end, is all there
+    when the process ends without teardown, buffered or not."""
+    group = tmp_path / "a4tilde.cox"
+    group.write_text(A4_TILDE)
+    argv = ("automaton", str(group), "--format", "json")
+    proc = _coxlang_process(*argv, unbuffered=unbuffered,
+                            stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and len(expected) > 4_000_000
+    assert out.decode() == expected
+
+
+def test_the_coxlang_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"coxlang": "coxlang.cli:run"}
+
+
+# Register an atexit handler, then end through `run` or `sys.exit(main())`.
+ATEXIT = """
+import atexit, sys
+from coxlang.cli import main, run
+atexit.register(print, "atexit ran")
+if sys.argv.pop(1) == "run":
+    run()
+sys.exit(main())
+"""
+
+
+def test_the_process_entry_skips_atexit_handlers():
+    """The trade-off of ending without teardown: an `atexit` handler that
+    other code registered does not run under `run`, while a process that
+    calls `main` and exits normally still runs it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def stdout(entry):
+        proc = subprocess.run(
+            [sys.executable, "-c", ATEXIT, entry, "info", FIG1],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=""))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    ended = stdout("run")
+    assert ended.startswith("generators: s t r\n")
+    assert stdout("main") == ended + "atexit ran\n"
+
+
 def test_a_stdout_write_error_in_process(capsys, monkeypatch):
     """In process, with a stdout that has no file descriptor, a failed
     write is still one error line and exit 2."""

@@ -95,6 +95,20 @@ def test_parse_word_reads_e_as_a_name_when_declared():
         plain.parse_word("se")
 
 
+def test_from_pairs_refuses_an_unknown_generator():
+    with pytest.raises(PreconditionError, match="unknown generator 'z'"):
+        CoxeterSystem.from_pairs(("a", "b"), {("a", "z"): 3})
+
+
+def test_from_pairs_refuses_two_orders_for_one_pair():
+    with pytest.raises(PreconditionError, match="conflicting orders"):
+        CoxeterSystem.from_pairs(("a", "b"), {("a", "b"): 3, ("b", "a"): 4})
+    # The same order given both ways is one pair.
+    system = CoxeterSystem.from_pairs(("a", "b"),
+                                      {("a", "b"): 3, ("b", "a"): 3})
+    assert system.matrix.orders == ((1, 3), (3, 1))
+
+
 def test_multichar_names_need_spaces():
     system = parse_system("generators g1 g2\nm g1 g2 3\n")
     assert system.parse_word("g1 g2") == (0, 1)
@@ -191,6 +205,11 @@ def test_ball_sizes_affine_match_growth_series(a3tilde, triangle, ball):
 def test_ball_cap(fig1):
     with pytest.raises(ResourceLimitError):
         fig1.ball(6, max_elements=10)
+
+
+def test_ball_refuses_a_negative_radius(fig1):
+    with pytest.raises(PreconditionError, match="radius must be nonnegative"):
+        fig1.ball(-1)
 
 
 def test_ball_cap_counts_the_identity(fig1):
