@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from operator import add, neg
+from typing import NamedTuple
 
 from .errors import (InfiniteParabolicError, InvariantViolation, ParseError,
                      PreconditionError, ResourceLimitError,
@@ -74,82 +75,54 @@ DEFAULT_WORD_CAP = 100_000
 MAX_SPHERICAL_SUBSETS = 5_000
 
 
-class CoxeterMatrix:
-    """Symmetric order table: 1 on the diagonal, ints >= 2 or INF off it."""
+class CoxeterMatrix(NamedTuple):
+    """Names and the symmetric order table: 1 on the diagonal, ints >= 2
+    or INF off it.  A plain record, which `CoxeterSystem` checks."""
 
-    __slots__ = ("names", "orders")
-
-    def __init__(self, names: tuple[str, ...],
-                 orders: tuple[tuple[object, ...], ...]):
-        self.names = names
-        self.orders = orders
-        n = len(names)
-        if len(set(names)) != n:
-            raise InvariantViolation("generator names must be distinct")
-        if len(orders) != n or any(len(row) != n for row in orders):
-            raise InvariantViolation("order table has the wrong shape")
-        for i in range(n):
-            if orders[i][i] != 1:
-                raise InvariantViolation("diagonal orders must equal 1")
-            for j in range(i + 1, n):
-                m = orders[i][j]
-                if m != orders[j][i]:
-                    raise InvariantViolation("order table must be symmetric")
-                if m != INF and (not isinstance(m, int) or m < 2):
-                    raise InvariantViolation("off-diagonal orders must be >= 2 or INF")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoxeterMatrix):
-            return NotImplemented
-        return self.names == other.names and self.orders == other.orders
-
-    def __hash__(self):
-        return hash((self.names, self.orders))
-
-    def __repr__(self) -> str:
-        return f"CoxeterMatrix(names={self.names!r}, orders={self.orders!r})"
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    def order(self, i: int, j: int):
-        return self.orders[i][j]
-
-    def finite_orders(self) -> list[int]:
-        n = self.n
-        return [self.orders[i][j] for i in range(n) for j in range(i + 1, n)
-                if self.orders[i][j] != INF]
+    names: tuple[str, ...]
+    orders: tuple[tuple[object, ...], ...]
 
 
 class CoxeterSystem:
-    """A Coxeter matrix together with its exact geometric representation."""
+    """A Coxeter matrix together with its exact geometric representation.
+    A matrix with no generators, or not of the form `CoxeterMatrix`
+    states, raises PreconditionError."""
 
     def __init__(self, matrix: CoxeterMatrix):
+        names, orders = matrix
+        n = len(names)
+        if not n:
+            raise PreconditionError("no generators declared")
+        if len(set(names)) != n:
+            raise PreconditionError("generator names must be distinct")
+        if len(orders) != n or any(len(row) != n for row in orders):
+            raise PreconditionError("order table has the wrong shape")
+        for i in range(n):
+            if orders[i][i] != 1:
+                raise PreconditionError("diagonal orders must equal 1")
+            for j in range(i):
+                m = orders[i][j]
+                if m != orders[j][i]:
+                    raise PreconditionError("order table must be symmetric")
+                if m != INF and (not isinstance(m, int) or m < 2):
+                    raise PreconditionError(
+                        f"off-diagonal orders must be ints >= 2 or INF, got {m!r}")
         self.matrix = matrix
-        self.n = matrix.n
-        self.field = field_for(matrix.finite_orders())
-        field = self.field
-        n = self.n
+        self.n = n
+        self.field = field = field_for(
+            orders[i][j] for i in range(n) for j in range(i))
 
-        # 2cos(pi/m_st) for every pair; -2 on the diagonal (m = 1).
-        minus_two = field.raw_from_rational(-2)
-        self._c2 = tuple(
-            tuple(minus_two if i == j else field.two_cos_raw(matrix.orders[i][j])
-                  for j in range(n))
-            for i in range(n))
+        # Rows of the doubled form 2B: 2B[s][t] = -2cos(pi/m_st), which is
+        # 2 on the diagonal (m = 1).
+        self._bform = tuple(tuple(field.raw_neg(field.two_cos_raw(m)) for m in row)
+                            for row in orders)
 
-        # Sparse reflection data: for each s, the neighbours t with c2 != 0.
+        # Sparse reflection data: for each s, the neighbours t with
+        # c_st = 2cos(pi/m_st) = -2B[s][t] nonzero.
         self._nbrs = tuple(
-            tuple((t, self._c2[s][t]) for t in range(n)
-                  if t != s and any(self._c2[s][t]))
-            for s in range(n))
-
-        # Rows of the doubled form 2B: 2B[s][t] = -2cos(pi/m_st), 2B[s][s] = 2.
-        self._bform = tuple(
-            tuple(field.two if i == j else field.raw_neg(self._c2[i][j])
-                  for j in range(n))
-            for i in range(n))
+            tuple((t, field.raw_neg(x)) for t, x in enumerate(row)
+                  if t != s and any(x))
+            for s, row in enumerate(self._bform))
 
         # The identity's columns are the unit vectors; it has no descents.
         zero, fone = field.zero, field.one
@@ -185,8 +158,10 @@ class CoxeterSystem:
     def from_pairs(cls, names, orders: dict) -> "CoxeterSystem":
         """Build a system from {('a','b'): m} pairs; omitted pairs are INF.
 
-        A pair naming an unknown generator, or two orders for one pair,
-        raise PreconditionError.
+        Raises PreconditionError for a pair naming an unknown generator or
+        two orders for one pair, which the table cannot show, and for
+        whatever `CoxeterSystem` refuses in the table: no names, repeated
+        names, a diagonal pair, or an order not an int >= 2 or INF.
         """
         names = tuple(names)
         idx = {nm: i for i, nm in enumerate(names)}
@@ -258,6 +233,7 @@ class CoxeterSystem:
         is added to each neighbour height t."""
         d, out = self.field.degree, list(key)
         if d == 1:
+            # Over Q a height is one int, so a step needs no scale call.
             height = key[s]
             out[s] = -height
             for t, c in self._nbrs[s]:
@@ -313,14 +289,9 @@ class CoxeterSystem:
     def root_sign(self, vec) -> int:
         """+1 for a positive root, -1 for a negative one, from its flat
         vector; mixed signs or a zero vector are a bug."""
-        field = self.field
-        d = field.degree
-        if d == 1:
-            pos, negative = max(vec) > 0, min(vec) < 0
-        else:
-            sign = field.raw_sign
-            signs = {sign(vec[i:i + d]) for i in range(0, len(vec), d)}
-            pos, negative = 1 in signs, -1 in signs
+        d, sign = self.field.degree, self.field.raw_sign
+        signs = {sign(vec[i:i + d]) for i in range(0, len(vec), d)}
+        pos, negative = 1 in signs, -1 in signs
         if pos and negative:
             raise InvariantViolation("root vector has mixed coordinate signs")
         if not (pos or negative):
@@ -338,6 +309,7 @@ class CoxeterSystem:
         right descent of the element with this key."""
         d = self.field.degree
         if d == 1:
+            # One int compare in place of a raw_sign call per descent read.
             return key[t] < 0
         return self.field.raw_sign(key[t * d:t * d + d]) < 0
 

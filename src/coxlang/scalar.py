@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
 from operator import add, mul, neg, sub
 
 from .errors import FieldMismatchError, InvariantViolation, ResourceLimitError
@@ -214,8 +213,6 @@ class CycloField:
 
     def raw_mul(self, a: Raw, b: Raw) -> Raw:
         d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
         conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -236,14 +233,10 @@ class CycloField:
 
     def scale(self, c: Raw, vec: tuple) -> tuple:
         """c·vec for a flat vector: each block of `degree` ints is one
-        coordinate, multiplied by c.  One is the identity, and over Q the
-        product is one pass over the ints."""
+        coordinate, multiplied by c.  One is the identity."""
         if c == self.one:
             return vec
-        d = self.degree
-        if d == 1:
-            return tuple(map(mul, repeat(c[0]), vec))
-        zero, out = self.zero, []
+        d, zero, out = self.degree, self.zero, []
         for i in range(0, len(vec), d):
             block = vec[i:i + d]
             out += self.raw_mul(c, block) if any(block) else zero
@@ -297,6 +290,7 @@ class CycloField:
         if not any(a):
             return 0
         if self.degree == 1:
+            # The filter table assumes theta > 0; over Q, theta is -2.
             c = a[0]
             return 1 if c > 0 else -1
         los, ws = self._filter or self._build_filter()
@@ -330,8 +324,11 @@ class CycloField:
         if m == INF:
             return self.two
         m = int(m)
+        if m == 1:
+            # p_n(theta) = 2cos(pi), which the constructor checks is -2.
+            return self.raw_from_rational(-2)
         if self.n == 1:
-            known = {1: -2, 2: 0, 3: 1}
+            known = {2: 0, 3: 1}
             if m not in known:
                 raise FieldMismatchError(
                     f"2cos(pi/{m}) is irrational; the rational field cannot hold it")

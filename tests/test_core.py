@@ -66,10 +66,55 @@ def test_parse_errors(text, line, fragment):
 
 
 def test_matrix_validation():
-    with pytest.raises(InvariantViolation):
-        CoxeterMatrix(("a", "b"), ((1, 2), (3, 1)))  # asymmetric
-    with pytest.raises(InvariantViolation):
-        CoxeterMatrix(("a", "b"), ((2, 3), (3, 1)))  # bad diagonal
+    with pytest.raises(PreconditionError):
+        CoxeterSystem(CoxeterMatrix(("a", "b"), ((1, 2), (3, 1))))  # asymmetric
+    with pytest.raises(PreconditionError):
+        CoxeterSystem(CoxeterMatrix(("a", "b"), ((2, 3), (3, 1))))  # bad diagonal
+
+
+@pytest.mark.parametrize("names,pairs,fragment", [
+    (("a", "b"), {("a", "a"): 3}, "diagonal"),
+    (("a", "b"), {("a", "b"): 1}, "ints >= 2"),
+    (("a", "b"), {("a", "b"): 2.0}, "ints >= 2"),
+    (("a", "a"), {}, "distinct"),
+])
+def test_from_pairs_refuses_a_bad_table(names, pairs, fragment):
+    with pytest.raises(PreconditionError, match=fragment):
+        CoxeterSystem.from_pairs(names, pairs)
+
+
+@pytest.mark.parametrize("names,orders,fragment", [
+    (("a", "b"), ((3, 3), (3, 1)), "diagonal"),
+    (("a", "b"), ((1, 1), (1, 1)), "ints >= 2"),
+    (("a", "b"), ((1, 2.0), (2.0, 1)), "ints >= 2"),
+    (("a", "a"), ((1, 3), (3, 1)), "distinct"),
+    (("a", "b"), ((1, 3), (4, 1)), "symmetric"),
+    (("a", "b"), ((1, 3), (3, 1), (1, 1)), "shape"),
+    (("a", "b"), ((1, 3), (3,)), "shape"),
+    ((), (), "no generators"),
+])
+def test_system_refuses_a_bad_matrix(names, orders, fragment):
+    with pytest.raises(PreconditionError, match=fragment):
+        CoxeterSystem(CoxeterMatrix(names, orders))
+
+
+def test_the_empty_generator_list_is_refused_as_by_the_parser():
+    """An empty system would pass the empty word off as several words:
+    the parser's "no generators declared" holds for every entry point."""
+    with pytest.raises(ParseError, match="no generators declared"):
+        parse_system("generators\n")
+    with pytest.raises(PreconditionError, match="no generators declared"):
+        CoxeterSystem.from_pairs((), {})
+
+
+def test_a_matrix_is_a_tuple_of_names_and_orders():
+    names, orders = ("a", "b"), ((1, 3), (3, 1))
+    matrix = CoxeterMatrix(names, orders)
+    assert matrix == (names, orders)
+    assert hash(matrix) == hash((names, orders))
+    assert repr(matrix) == ("CoxeterMatrix(names=('a', 'b'), "
+                            "orders=((1, 3), (3, 1)))")
+    assert CoxeterSystem(matrix).matrix is matrix
 
 
 # ----- words ----------------------------------------------------------------

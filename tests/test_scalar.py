@@ -77,6 +77,8 @@ def test_two_cos_algebraic_values():
     assert two_cos(f12, 4) * two_cos(f12, 4) == Scalar.rational(f12, 2)
     assert two_cos(f12, 3) == Scalar.rational(f12, 1)
     assert two_cos(f12, 2) == Scalar.rational(f12, 0)
+    # m = 1 is the diagonal of 2B: p_12(theta) = 2cos(pi) = -2.
+    assert f12.two_cos_raw(1) == f12.raw_pk(12) == f12.raw_from_rational(-2)
 
 
 def test_golden_ratio_identity():
