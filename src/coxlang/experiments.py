@@ -13,15 +13,15 @@ independent of iteration order.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import compress, count, zip_longest
+from operator import ne
 from typing import NamedTuple
 
 from .core import (DEFAULT_BALL_CAP, DEFAULT_WORD_CAP, CoxeterSystem, Element,
                    Word, k_constant)
 from .errors import PreconditionError, ResourceLimitError
 from .language import (_finite_pairs, _gate_chain, _signature, _witness,
-                       canonical_word, chunk_decomposition, descent_data,
-                       weak_order)
+                       canonical_word, chunk_decomposition, weak_order)
 
 Witness = tuple[Word, int]
 
@@ -77,17 +77,11 @@ def _pair_value(system: CoxeterSystem, v: Word, vp: Word, s) -> int:
     The difference element takes one `_step` per i, past the shorter
     word on the longer side only.  Elements are interned and keep their
     steps and normal form, and on A~3 the difference takes only a few
-    hundred values over a whole scan.  With no s, it is the identity along
-    the common prefix of v and vp, so the steps start where they differ.
+    hundred values over a whole scan.
     """
-    start, d = 0, system.identity if s is None else system.generator(s)
-    if s is None:
-        for a, b in zip(v, vp):
-            if a != b:
-                break
-            start += 1
+    d = system.identity if s is None else system.generator(s)
     best = 0
-    for a, b in zip_longest(v[start:], vp[start:]):
+    for a, b in zip_longest(v, vp):
         d = _step(d, a, b)
         length = len(d._nf or d.nf)
         if length > best:
@@ -105,14 +99,12 @@ def ft_pair_divergence(g: Element, g_prime: Element, mode: str, s: int) -> int:
     if mode == "right":
         if s in g.right_descents() or g_prime is not system.mul_gen(g, s):
             raise PreconditionError("need g' = g·s with l(g·s) > l(g)")
-        shift = None
-    elif mode == "left":
+        return _tail_value(system, g, s, {})
+    if mode == "left":
         if s in g.left_descents() or g_prime is not system.gen_mul(s, g):
             raise PreconditionError("need g' = s·g with l(s·g) > l(g)")
-        shift = s
-    else:
-        raise PreconditionError(f"unknown mode {mode!r}")
-    return _pair_value(system, canonical_word(g), canonical_word(g_prime), shift)
+        return _pair_value(system, canonical_word(g), canonical_word(g_prime), s)
+    raise PreconditionError(f"unknown mode {mode!r}")
 
 
 def _better(value: int, wit: Witness, best: int, best_wit: Witness | None) -> bool:
@@ -123,46 +115,27 @@ def _better(value: int, wit: Witness, best: int, best_wit: Witness | None) -> bo
 
 def _tail_value(system: CoxeterSystem, g: Element, s: int,
                 tails: dict) -> int:
-    """The value of the right-side pair (g, g' = g·s) from chunk tails.
+    """The value of the right-side pair (g, g' = g·s) from the suffixes of
+    the canonical words past their first differing letter.
 
-    can(x) = can(Pi(x)) + nf(w(x)), so the Pi chains form a tree rooted
-    at the identity.  Both canonical words start with can(c) for the last
-    element c the chains of g and g' share, and the difference is the
-    identity along it.  So the value is that of the words the chunks above
-    c spell on each side, which follow from their longest elements; it is
-    kept in `tails` per pair of those sequences.  No canonical word is
-    formed, and neither is g' when no step has linked it to g: T = T(g')
-    is stepped from g's descents and key, and Pi(g') = g·(s·w0(T)) is the
+    The difference is the identity along the shared prefix, so the value
+    is that of the suffixes, kept in `tails` per pair of them.  g' is not
+    formed when no step has linked it to g: T = T(g') is stepped from g's
+    descents and key, and can(g') = can(b) + nf(w0(T)) for b = Pi(g'), the
     gate of g<T>, reached from g down steps the ball already took.
     """
-    gp = g._steps[s]
+    v, gp = g._canonical or canonical_word(g), g._steps[s]
     if gp is not None:
-        T, w, b = gp._descent or descent_data(gp)
+        vp = gp._canonical or canonical_word(gp)
     else:
         T = system._stepped_descents(g, system._key_rmul(g.key, s), s)
-        w = system.longest_element(T)
         b = system.residue_gate(g, T)
-    if len(T) == 1:
-        return 1  # T(g') = {s}, so Pi(g') = g and the one chunk above is s
-    # The longer side steps down its chain until the two sides meet.
-    la = len(g._nf or g.nf)
-    lb = la + 1 - len(w._nf or w.nf)
-    a, top, top_p = g, [], [w]
-    while a is not b:
-        if la >= lb:
-            _, w, a = a._descent or descent_data(a)
-            top.append(w)
-            la -= len(w._nf or w.nf)
-        else:
-            _, w, b = b._descent or descent_data(b)
-            top_p.append(w)
-            lb -= len(w._nf or w.nf)
-    key = (*top, None, *top_p)
+        vp = (b._canonical or canonical_word(b)) + system.longest_element(T).nf
+    i = next(compress(count(), map(ne, v, vp)), len(v))
+    key = v[i:], vp[i:]
     value = tails.get(key)
     if value is None:
-        value = tails[key] = _pair_value(
-            system, tuple(s for w in reversed(top) for s in w.nf),
-            tuple(s for w in reversed(top_p) for s in w.nf), None)
+        value = tails[key] = _pair_value(system, *key, None)
     return value
 
 
@@ -201,7 +174,7 @@ def _ascent_values(system, ball, side, words, max_words):
     shifting the prefixes of g by s.  In "all" mode the value is the worst
     over every pair of standard-language words, walked by prefix levels,
     else that of the canonical words, which on the right side is read from
-    the chunk tails without forming g·s.
+    their suffixes without forming g·s.
     """
     right, n = side == "right", system.n
 
@@ -287,7 +260,9 @@ def divergence_scan(system: CoxeterSystem, radii,
     Each row equals ft_scan(system, radius).max_ii and its witness.
     """
     radii = tuple(radii)
-    if not radii or any(r < 0 for r in radii):
+    if not radii:
+        raise PreconditionError("radii must be nonempty")
+    if any(r < 0 for r in radii):
         raise PreconditionError("radii must be nonnegative")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be strictly increasing")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 from operator import add, mul, neg, sub
 
 from .errors import FieldMismatchError, InvariantViolation, ResourceLimitError
@@ -127,7 +128,7 @@ class CycloField:
     """The field Q(theta) with theta = 2cos(pi/n); n == 1 encodes Q itself."""
 
     __slots__ = ("n", "degree", "psi", "theta", "zero", "one", "two",
-                 "_pows", "_iso", "_filter")
+                 "_pows", "_iso", "_filter", "_two_cos")
 
     def __init__(self, n: int):
         if n < 1:
@@ -192,9 +193,11 @@ class CycloField:
         self._iso = iso
         self._filter = None
 
-        # Sanity anchor: p_n(theta) = 2cos(pi) = -2, so p_n + 2 must vanish.
-        pn = self.raw_pk(n)
-        if self.raw_add(pn, self.two) != self.zero:
+        # p_k(theta) = 2cos(pi/m) for each order m = n/k, kept from the one
+        # chain that reaches the sanity anchor p_n(theta) = 2cos(pi) = -2.
+        chain = enumerate(islice(self._chebyshev(), n + 1))
+        self._two_cos = {n // k: p for k, p in chain if k and n % k == 0}
+        if self.raw_add(self._two_cos[1], self.two) != self.zero:
             raise InvariantViolation("p_n(theta) + 2 != 0")
 
     # ----- raw vector arithmetic -------------------------------------
@@ -242,14 +245,17 @@ class CycloField:
             out += self.raw_mul(c, block) if any(block) else zero
         return tuple(out)
 
+    def _chebyshev(self):
+        """p_0(theta), p_1(theta), ... by p_{j+1} = theta·p_j - p_{j-1},
+        from p_{-1} = p_1 = theta."""
+        prev, cur = self.theta, self.two
+        while True:
+            yield cur
+            prev, cur = cur, self.raw_sub(self.raw_mul(self.theta, cur), prev)
+
     def raw_pk(self, k: int) -> Raw:
         """p_k(theta): the value 2cos(k*pi/n) when k <= n."""
-        if k == 0:
-            return self.two
-        prev, cur = self.two, self.theta
-        for _ in range(k - 1):
-            prev, cur = cur, self.raw_sub(self.raw_mul(self.theta, cur), prev)
-        return cur
+        return next(islice(self._chebyshev(), k, None))
 
     def _build_filter(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The sign filter's table: (lo_i), (w_i) with
@@ -324,19 +330,16 @@ class CycloField:
         if m == INF:
             return self.two
         m = int(m)
-        if m == 1:
-            # p_n(theta) = 2cos(pi), which the constructor checks is -2.
-            return self.raw_from_rational(-2)
+        if m in self._two_cos:
+            return self._two_cos[m]
         if self.n == 1:
             known = {2: 0, 3: 1}
             if m not in known:
                 raise FieldMismatchError(
                     f"2cos(pi/{m}) is irrational; the rational field cannot hold it")
             return self.raw_from_rational(known[m])
-        if self.n % m != 0:
-            raise FieldMismatchError(
-                f"order {m} does not divide {self.n}; wrong field")
-        return self.raw_pk(self.n // m)
+        raise FieldMismatchError(
+            f"order {m} does not divide {self.n}; wrong field")
 
     def __repr__(self) -> str:
         if self.n == 1:

@@ -15,7 +15,7 @@ from coxlang.experiments import (_pair_value, _tail_value, divergence_tsv,
                                  ft_text, ft_tsv, prop_text, prop_tsv)
 from coxlang.core import DEFAULT_WORD_CAP
 from coxlang.language import (canonical_word, chunk_decomposition,
-                              descent_data, language_words, weak_order)
+                              language_words, weak_order)
 import oracles
 
 SHIPPED = sorted(path.name for path in GROUPS.glob("*.cox"))
@@ -109,8 +109,8 @@ def test_pair_value_swap_shifts_by_at_most_one(fig1, ball):
 def test_canonical_words_and_pair_values_match_oracles(fig1, a3tilde, h237,
                                                        ball):
     """The kept canonical word against the Pi chain walked afresh, and the
-    pair value started at the first differing letter against the full
-    loop, for every ascent on either side."""
+    pair value against the oracle's loop, for every ascent on either
+    side."""
     identity = fig1.identity
     assert canonical_word(identity) == oracles.canonical_word(identity) == ()
     for system, radius in ((fig1, 7), (a3tilde, 6), (h237, 5)):
@@ -141,25 +141,28 @@ def _right_ascents(system, ball):
 
 @pytest.mark.parametrize("name", SHIPPED + ["A~4"])
 def test_tail_values_equal_the_public_oracle(name):
-    """Every right-ascent value read from chunk tails against the canonical
-    words compared letter by letter, in a separate system.  The ascents out
-    of the ball's last level are never formed, so their values come from
-    stepped keys, and the scan interns nothing past the ball."""
+    """Every right-ascent value read from canonical-word suffixes against
+    the oracle's canonical words, walked afresh and compared letter by
+    letter from the first, in a separate system.  The ascents out of the
+    ball's last level are never formed, so their values come from stepped
+    keys, and the scan interns nothing past the ball; on A~3 that level
+    is at radius 10."""
     system, oracle = _shipped_or_a4(name), _shipped_or_a4(name)
     tails = {}
-    ball = system.ball(6 if name == "A~4" else 8)
+    ball = system.ball({"A~4": 6, "a3tilde.cox": 10}.get(name, 8))
     size = len(system._elements)
     last = ball[-1].length
     skipped = 0
     for g in ball:
         h = oracle.element(g.nf)
+        v = oracles.canonical_word(h)
         for s in range(system.n):
             if s in g.right_descents():
                 continue
             skipped += g._steps[s] is None
+            vp = oracles.canonical_word(oracle.mul_gen(h, s))
             assert (_tail_value(system, g, s, tails)
-                    == ft_pair_divergence(h, oracle.mul_gen(h, s), "right", s)
-                    ), (g, s)
+                    == oracles.pair_value(oracle, v, vp, None)), (g, s)
     assert len(system._elements) == size
     assert skipped == sum(system.n - len(g.right_descents())
                           for g in ball if g.length == last)
@@ -233,15 +236,17 @@ def test_divergence_scan_interns_only_the_ball():
 
 
 def _reference_entries(system, ball, mode):
-    """(l(g), value, (nf(g), s)) per ascent, from the public oracle."""
-    out = []
+    """(l(g), value, (nf(g), s)) per ascent, from the oracle's canonical
+    words compared letter by letter."""
+    right, out = mode == "right", []
     for g in ball:
         for s in range(system.n):
-            gs = (system.mul_gen(g, s) if mode == "right"
-                  else system.gen_mul(s, g))
+            gs = system.mul_gen(g, s) if right else system.gen_mul(s, g)
             if gs.length > g.length:
-                out.append((g.length, ft_pair_divergence(g, gs, mode, s),
-                            (g.nf, s)))
+                value = oracles.pair_value(
+                    system, oracles.canonical_word(g),
+                    oracles.canonical_word(gs), None if right else s)
+                out.append((g.length, value, (g.nf, s)))
     return out
 
 
@@ -267,22 +272,19 @@ def test_streamed_rows_equal_the_list_reference(name, radii):
         assert (report.max_iii, report.witness_iii) == oracles.best(left, radius)
 
 
-def _chunk_tails(g, gs):
-    """The longest elements of the chunks of g and g·s above the last
-    element their Pi chains share, from `chunk_decomposition`."""
-    mine, theirs = chunk_decomposition(g), chunk_decomposition(gs)
-    shared = 0
-    while (shared < min(len(mine), len(theirs))
-           and mine[-1 - shared] == theirs[-1 - shared]):
-        shared += 1
-    return (tuple(c.longest for c in mine[:len(mine) - shared]),
-            tuple(c.longest for c in theirs[:len(theirs) - shared]))
+def _suffixes(v, vp):
+    """The words v and vp past their first differing letter."""
+    i = 0
+    while i < len(v) and v[i] == vp[i]:
+        i += 1
+    return v[i:], vp[i:]
 
 
-def test_a3tilde_divergence_walks_each_chunk_tail_pair_once(monkeypatch):
+def test_a3tilde_divergence_walks_each_suffix_pair_once(monkeypatch):
     """The mechanism behind the A~3 scan: one pair walk per distinct pair
-    of chunk tails, no canonical word kept on any element, and a bounded
-    allocation peak."""
+    of canonical-word suffixes past the first differing letter, the
+    canonical word kept on every ball element, and a bounded allocation
+    peak."""
     system = parse_system((GROUPS / "a3tilde.cox").read_text())
     calls = 0
 
@@ -300,11 +302,10 @@ def test_a3tilde_divergence_walks_each_chunk_tail_pair_once(monkeypatch):
         tracemalloc.stop()
     assert [row.max_divergence for row in table.rows] == [6, 6, 8]
     ball = system.ball(16)
-    assert not any(g._canonical for g in ball)
+    assert all(g._canonical == oracles.canonical_word(g) for g in ball[1:])
     pairs = _right_ascents(system, ball)
-    # A pair with Pi(g·s) = g has the value 1 without a walk.
-    walked = {_chunk_tails(g, gs) for g, s, gs in pairs
-              if descent_data(gs)[2] is not g}
+    walked = {_suffixes(oracles.canonical_word(g), oracles.canonical_word(gs))
+              for g, s, gs in pairs}
     assert len(pairs) == 6596
     assert calls == len(walked) <= 1000
     assert peak < 3.5 * 2**20
@@ -393,13 +394,13 @@ def test_divergence_rows_equal_ft_scan(fig1, a3tilde, dinf):
 
 
 def test_divergence_radii_validation(fig1):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="nonempty"):
         divergence_scan(fig1, ())
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="increasing"):
         divergence_scan(fig1, (4, 4))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="increasing"):
         divergence_scan(fig1, (6, 4))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="nonnegative"):
         divergence_scan(fig1, (-1, 2))
 
 

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 REQUIRES = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
                      (ROOT / "pyproject.toml").read_text(), re.M)
-SOURCES = sorted(path.relative_to(ROOT) for top in ("src", "scripts")
+SOURCES = sorted(path.relative_to(ROOT) for top in ("src", "scripts", "tests")
                  for path in (ROOT / top).rglob("*.py"))
 
 
