@@ -676,3 +676,59 @@ def test_ball_forms_no_inverse_and_one_step_per_candidate(monkeypatch):
     assert calls["_gen_rmul"] == calls["_gen_lmul"] == 0
     # The generators were stepped when the system was built.
     assert calls["_key_rmul"] == candidates - system.n
+
+
+# Every subcommand's arguments in the order `--help` lists them:
+# (flag or positional name, dest, default, choices, required, type).
+OPTIONS = {
+    "info": [("group", "group", None, None, True, None)],
+    "lang": [
+        ("group", "group", None, None, True, None),
+        ("sub", "sub", None, ("check", "word", "chunks"), True, None),
+        ("word", "word", None, None, True, None),
+    ],
+    "automaton": [
+        ("group", "group", None, None, True, None),
+        ("--scan-len", "scan_len", None, None, False, int),
+        ("--max-states", "max_states", 10_000, None, False, int),
+        ("--format", "fmt", "text", ("text", "json", "dot"), False, None),
+        ("--output", "output", None, None, False, None),
+    ],
+    "scan": [
+        ("group", "group", None, None, True, None),
+        ("--radius", "radius", None, None, True, int),
+        ("--all-words", "all_words", False, None, False, None),
+        ("--max-words", "max_words", 100_000, None, False, int),
+        ("--max-ball", "max_ball", 1_000_000, None, False, int),
+        ("--format", "fmt", "tsv", ("tsv", "text"), False, None),
+        ("--output", "output", None, None, False, None),
+    ],
+    "prop": [
+        ("group", "group", None, None, True, None),
+        ("--radius", "radius", None, None, True, int),
+        ("--max-ball", "max_ball", 1_000_000, None, False, int),
+        ("--format", "fmt", "text", ("tsv", "text"), False, None),
+        ("--output", "output", None, None, False, None),
+    ],
+    "divergence": [
+        ("group", "group", None, None, True, None),
+        ("--radii", "radii", None, None, True, None),
+        ("--max-ball", "max_ball", 1_000_000, None, False, int),
+        ("--format", "fmt", "tsv", ("tsv", "text"), False, None),
+        ("--output", "output", None, None, False, None),
+    ],
+}
+
+
+def test_option_table_is_frozen():
+    """No subcommand gains, loses or changes an argument."""
+    import argparse
+    parser = cli._build_parser()
+    subs, = (a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction))
+    table = {
+        name: [((a.option_strings or [a.dest])[0], a.dest, a.default,
+                a.choices, a.required, a.type)
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sub in subs.choices.items()}
+    assert table == OPTIONS
