@@ -70,12 +70,15 @@ class EquivalenceReport(NamedTuple):
 def _render(system: CoxeterSystem, states):
     """Each wall set as its reflection words, shortest first, then
     lexicographically, and the longest word's length.  Each distinct wall
-    forms its reflection once."""
-    words = {w: w.reflection.nf for w in frozenset().union(*states)}
-    keys = [sorted((words[w] for w in st), key=lambda u: (len(u), u))
-            for st in states]
-    depth = max((len(key[-1]) for key in keys if key), default=0)
-    return tuple(tuple(system.word_str(u) for u in key) for key in keys), depth
+    forms its reflection and its string once: distinct walls have
+    distinct reflections, so a sort never compares two strings."""
+    words = {}
+    for w in frozenset().union(*states):
+        u = w.reflection.nf
+        words[w] = len(u), u, system.word_str(u)
+    keys = [sorted(words[w] for w in st) for st in states]
+    depth = max((key[-1][0] for key in keys if key), default=0)
+    return tuple(tuple(text for _, _, text in key) for key in keys), depth
 
 
 def wall_state_key(system: CoxeterSystem, g: Element) -> tuple[str, ...]:
@@ -319,18 +322,18 @@ def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
     try:
         doc = json.loads(text)
     except ValueError as exc:
-        raise ParseError(0, f"not JSON: {exc}")
+        raise ParseError(f"not JSON: {exc}")
     if not isinstance(doc, dict) or doc.keys() != {
             "generators", "states", "transitions", "start"}:
-        raise ParseError(0, "not an object with the keys generators, "
+        raise ParseError("not an object with the keys generators, "
                             "states, transitions and start")
     if doc["generators"] != list(system.matrix.names):
-        raise ParseError(0, f"generators {doc['generators']} differ")
+        raise ParseError(f"generators {doc['generators']} differ")
     states, written_trs = doc["states"], doc["transitions"]
     if not isinstance(states, list) or not all(
             isinstance(st, list) and all(isinstance(w, str) for w in st)
             for st in states):
-        raise ParseError(0, "a state is not a list of words")
+        raise ParseError("a state is not a list of words")
     for st in states:
         for w in st:
             system.parse_word(w)
@@ -339,9 +342,9 @@ def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
         return type(i) is int and 0 <= i < len(states)
 
     if not is_state(doc["start"]):
-        raise ParseError(0, f"start {doc['start']!r} is not a state")
+        raise ParseError(f"start {doc['start']!r} is not a state")
     if not isinstance(written_trs, list):
-        raise ParseError(0, "transitions are not a list")
+        raise ParseError("transitions are not a list")
     spherical = set(system.spherical_subsets())
     transitions = []
     for i, written in enumerate(written_trs):
@@ -349,11 +352,11 @@ def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
             tr = Transition(written["from"], system.parse_word(
                 " ".join(written["T"])), written["to"])
         except (TypeError, KeyError):
-            raise ParseError(0, f"transition {i} is not written by to_json")
+            raise ParseError(f"transition {i} is not written by to_json")
         if not (is_state(tr.source) and is_state(tr.target)):
-            raise ParseError(0, f"transition {i} joins no two states")
+            raise ParseError(f"transition {i} joins no two states")
         if tr.parabolic not in spherical or _json_of(system, tr) != written:
-            raise ParseError(0, f"transition {i} does not match its T")
+            raise ParseError(f"transition {i} does not match its T")
         transitions.append(tr)
     states = tuple(tuple(st) for st in states)
     return ResidueFsa(system, states, tuple(transitions), doc["start"])

@@ -7,6 +7,11 @@ stdout's encoding cannot hold, and a stdout that cannot be written
 included), 3 a resource cap was hit.  Output files are written in UTF-8,
 as group files are read.
 
+Each subcommand is declared once, with its handler, in `_build_parser`.
+`_run` loads the group and calls the handler, which returns its whole
+output and exit code, then writes that text once, through `_emit`, to
+stdout or the `--output` file: a command that raises has written nothing.
+
 `main` flushes stdout before it returns, so a full disk or a reader that
 closed the pipe early (`coxlang automaton ... --format json | head -1`)
 is an error line on stderr and exit 2, not a traceback, also when
@@ -46,7 +51,7 @@ def _load(path: str) -> CoxeterSystem:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(0, f"cannot read group file: {exc}")
+        raise ParseError(f"cannot read group file: {exc}")
     return parse_system(text)
 
 
@@ -72,118 +77,100 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         raise PreconditionError(f"cannot write output file: {exc}")
 
 
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
 def _subset_str(system: CoxeterSystem, T) -> str:
     names = system.matrix.names
     return "{" + ",".join(names[s] for s in sorted(T)) + "}"
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    system = _load(args.group)
+def cmd_info(args, system: CoxeterSystem) -> tuple[str, int]:
     verdict = "yes" if system.is_two_dimensional() else "no"
-    k = k_constant(system)  # may exceed a cap, so before any output
-    names = system.matrix.names
-    print(f"generators: {' '.join(names)}")
-    print("orders:")
-    for i, nm in enumerate(names):
-        row = " ".join(
-            "inf" if system.matrix.orders[i][j] == INF
-            else str(system.matrix.orders[i][j])
-            for j in range(system.n))
-        print(f"  {nm}: {row}")
-    print(f"field degree: {system.field.degree}")
-    print(f"2-dimensional: {verdict}; K = {k}")
-    return EXIT_OK
+    k, names = k_constant(system), system.matrix.names
+    rows = (" ".join("inf" if m == INF else str(m) for m in row)
+            for row in system.matrix.orders)
+    return _lines([f"generators: {' '.join(names)}", "orders:",
+                   *(f"  {nm}: {row}" for nm, row in zip(names, rows)),
+                   f"field degree: {system.field.degree}",
+                   f"2-dimensional: {verdict}; K = {k}"]), EXIT_OK
 
 
-def cmd_lang(args: argparse.Namespace) -> int:
+def cmd_lang(args, system: CoxeterSystem) -> tuple[str, int]:
     from .language import (canonical_word, chunk_decomposition,
                            is_in_standard_language)
 
-    system = _load(args.group)
     word = system.parse_word(args.word)
     if args.sub == "check":
-        verdict = is_in_standard_language(system, word)
-        print(f"in language: {'true' if verdict else 'false'}")
-        return EXIT_OK
+        verdict = "true" if is_in_standard_language(system, word) else "false"
+        return _lines([f"in language: {verdict}"]), EXIT_OK
     g = system.element(word)
     if args.sub == "word":
-        print(system.word_str(canonical_word(g)))
-        return EXIT_OK
-    for chunk in chunk_decomposition(g):
-        print(f"T={_subset_str(system, chunk.parabolic)}  "
-              f"w={system.word_str(chunk.longest.nf)}  "
-              f"remainder={system.word_str(chunk.remainder.nf)}")
-    return EXIT_OK
+        return _lines([system.word_str(canonical_word(g))]), EXIT_OK
+    return _lines(f"T={_subset_str(system, chunk.parabolic)}  "
+                  f"w={system.word_str(chunk.longest.nf)}  "
+                  f"remainder={system.word_str(chunk.remainder.nf)}"
+                  for chunk in chunk_decomposition(g)), EXIT_OK
 
 
-def cmd_automaton(args: argparse.Namespace) -> int:
+def cmd_automaton(args, system: CoxeterSystem) -> tuple[str, int]:
     from . import automaton as fsa
 
-    system = _load(args.group)
     machine, report = fsa.build(system, max_states=args.max_states)
-    mismatch = None
     scan = None
     if args.scan_len is not None:
         scan = fsa.equivalence_scan(machine, args.scan_len)
-        mismatch = scan.first_mismatch
+    code = EXIT_OK if scan is None or scan.ok else EXIT_FINDING
     if args.fmt == "json":
-        _emit(fsa.to_json(machine), args)
-    elif args.fmt == "dot":
-        _emit(fsa.to_dot(machine), args)
-    else:
-        lines = [f"states: {report.state_count}",
-                 f"transitions: {report.transition_count}",
-                 f"max wall depth: {report.max_wall_depth}"]
-        if scan is not None:
-            if mismatch is None:
-                lines.append(f"equivalent up to length {scan.max_len} "
-                             f"({scan.words_checked} words)")
-            else:
-                lines.append(f"MISMATCH at word {system.word_str(mismatch)}")
-        _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK if mismatch is None else EXIT_FINDING
+        return fsa.to_json(machine), code
+    if args.fmt == "dot":
+        return fsa.to_dot(machine), code
+    lines = [f"states: {report.state_count}",
+             f"transitions: {report.transition_count}",
+             f"max wall depth: {report.max_wall_depth}"]
+    if scan is not None and scan.ok:
+        lines.append(f"equivalent up to length {scan.max_len} "
+                     f"({scan.words_checked} words)")
+    elif scan is not None:
+        word = system.word_str(scan.first_mismatch)
+        lines.append(f"MISMATCH at word {word}")
+    return _lines(lines), code
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args, system: CoxeterSystem) -> tuple[str, int]:
     from .experiments import ft_scan, ft_text, ft_tsv
 
-    system = _load(args.group)
     report = ft_scan(system, args.radius,
                      words="all" if args.all_words else "canonical",
                      max_words=args.max_words, max_ball=args.max_ball)
     render = ft_text if args.fmt == "text" else ft_tsv
-    _emit(render(report, system), args)
-    if report.bound_ok is False:
-        return EXIT_FINDING
-    return EXIT_OK
+    return (render(report, system),
+            EXIT_FINDING if report.bound_ok is False else EXIT_OK)
 
 
-def cmd_prop(args: argparse.Namespace) -> int:
+def cmd_prop(args, system: CoxeterSystem) -> tuple[str, int]:
     from .experiments import prop_main_scan, prop_text, prop_tsv
 
-    system = _load(args.group)
     report = prop_main_scan(system, args.radius, max_ball=args.max_ball)
     render = prop_text if args.fmt == "text" else prop_tsv
-    _emit(render(report, system), args)
-    return EXIT_OK if report.ok else EXIT_FINDING
+    return render(report, system), EXIT_OK if report.ok else EXIT_FINDING
 
 
-def cmd_divergence(args: argparse.Namespace) -> int:
+def cmd_divergence(args, system: CoxeterSystem) -> tuple[str, int]:
     from .experiments import divergence_scan, divergence_text, divergence_tsv
 
-    radii = _parse_radii(args.radii)
-    system = _load(args.group)
+    try:
+        radii = tuple(int(part) for part in args.radii.split(","))
+    except ValueError:
+        raise PreconditionError(f"bad radii list {args.radii!r}")
     table = divergence_scan(system, radii, max_ball=args.max_ball)
     render = divergence_text if args.fmt == "text" else divergence_tsv
-    _emit(render(table, system), args)
-    return EXIT_OK
+    return render(table, system), EXIT_OK
 
 
-def _parse_radii(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise PreconditionError(f"bad radii list {text!r}")
+def _option(*flags, **keywords):
+    return flags, keywords
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,61 +180,43 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fellow-traveller scans for Coxeter groups.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("info", help="print group summary")
-    p.add_argument("group")
+    def command(name, handler, help, *options, formats=(), default=None):
+        """Add subcommand `name`: the group file, then `options`, then
+        --format (among `formats`, `default` or the first) and --output
+        when the command has formats."""
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(handler=handler, output=None)
+        p.add_argument("group")
+        for flags, keywords in options:
+            p.add_argument(*flags, **keywords)
+        if formats:
+            p.add_argument("--format", default=default or formats[0],
+                           choices=formats, dest="fmt")
+            p.add_argument("--output")
 
-    p = subs.add_parser("lang", help="standard-language queries")
-    p.add_argument("group")
-    p.add_argument("sub", choices=("check", "word", "chunks"))
-    p.add_argument("word")
-
-    p = subs.add_parser("automaton", help="build the recognizing automaton")
-    p.add_argument("group")
-    p.add_argument("--scan-len", type=int, default=None,
-                   help="verify against membership up to this word length")
-    p.add_argument("--max-states", type=int, default=10_000)
-    p.add_argument("--format", default="text", choices=("text", "json", "dot"),
-                   dest="fmt")
-    p.add_argument("--output", default=None)
-
-    p = subs.add_parser("scan", help="fellow-traveller scan over a ball")
-    p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--all-words", action="store_true")
-    p.add_argument("--max-words", type=int, default=DEFAULT_WORD_CAP,
-                   help="cap on the prefix pairs of one --all-words pair")
-    p.add_argument("--max-ball", type=int, default=DEFAULT_BALL_CAP)
-    p.add_argument("--format", default="tsv", choices=("tsv", "text"),
-                   dest="fmt")
-    p.add_argument("--output", default=None)
-
-    p = subs.add_parser("prop", help="residue witness scan over a ball")
-    p.add_argument("group")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--max-ball", type=int, default=DEFAULT_BALL_CAP)
-    p.add_argument("--format", default="text", choices=("tsv", "text"),
-                   dest="fmt")
-    p.add_argument("--output", default=None)
-
-    p = subs.add_parser("divergence", help="divergence table over radii")
-    p.add_argument("group")
-    p.add_argument("--radii", required=True,
-                   help="comma-separated strictly increasing radii")
-    p.add_argument("--max-ball", type=int, default=DEFAULT_BALL_CAP)
-    p.add_argument("--format", default="tsv", choices=("tsv", "text"),
-                   dest="fmt")
-    p.add_argument("--output", default=None)
+    radius = _option("--radius", type=int, required=True)
+    max_ball = _option("--max-ball", type=int, default=DEFAULT_BALL_CAP)
+    command("info", cmd_info, "print group summary")
+    command("lang", cmd_lang, "standard-language queries",
+            _option("sub", choices=("check", "word", "chunks")),
+            _option("word"))
+    command("automaton", cmd_automaton, "build the recognizing automaton",
+            _option("--scan-len", type=int,
+                    help="verify against membership up to this word length"),
+            _option("--max-states", type=int, default=10_000),
+            formats=("text", "json", "dot"))
+    command("scan", cmd_scan, "fellow-traveller scan over a ball",
+            radius, _option("--all-words", action="store_true"),
+            _option("--max-words", type=int, default=DEFAULT_WORD_CAP,
+                    help="cap on the prefix pairs of one --all-words pair"),
+            max_ball, formats=("tsv", "text"))
+    command("prop", cmd_prop, "residue witness scan over a ball",
+            radius, max_ball, formats=("tsv", "text"), default="text")
+    command("divergence", cmd_divergence, "divergence table over radii",
+            _option("--radii", required=True,
+                    help="comma-separated strictly increasing radii"),
+            max_ball, formats=("tsv", "text"))
     return parser
-
-
-_HANDLERS = {
-    "info": cmd_info,
-    "lang": cmd_lang,
-    "automaton": cmd_automaton,
-    "scan": cmd_scan,
-    "prop": cmd_prop,
-    "divergence": cmd_divergence,
-}
 
 
 def main(argv=None) -> int:
@@ -284,7 +253,9 @@ def _run(argv) -> int:
             if getattr(args, cap, 0) < 0:
                 raise PreconditionError(
                     f"--{cap.replace('_', '-')} must be at least 0")
-        return _HANDLERS[args.command](args)
+        text, code = args.handler(args, _load(args.group))
+        _emit(text, args)
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -357,7 +357,7 @@ class CoxeterSystem:
 
     def gen_index(self, name: str) -> int:
         if name not in self._index:
-            raise ParseError(0, f"unknown generator {name!r}")
+            raise ParseError(f"unknown generator {name!r}")
         return self._index[name]
 
     # ----- elements ------------------------------------------------------
@@ -715,41 +715,41 @@ def parse_system(text: str) -> CoxeterSystem:
         parts = line.split()
         if names is None:
             if parts[0] != "generators":
-                raise ParseError(ln, "expected a 'generators ...' line first")
+                raise ParseError("expected a 'generators ...' line first", ln)
             if len(parts) == 1:
-                raise ParseError(ln, "no generators declared")
+                raise ParseError("no generators declared", ln)
             names = parts[1:]
             for nm in names:
                 if nm in index:
-                    raise ParseError(ln, f"duplicate generator name {nm!r}")
+                    raise ParseError(f"duplicate generator name {nm!r}", ln)
                 index[nm] = len(index)
             continue
         if parts[0] != "m" or len(parts) != 4:
-            raise ParseError(ln, "expected 'm <a> <b> <order>'")
+            raise ParseError("expected 'm <a> <b> <order>'", ln)
         a, b, val = parts[1], parts[2], parts[3]
         if a not in index:
-            raise ParseError(ln, f"unknown generator {a!r}")
+            raise ParseError(f"unknown generator {a!r}", ln)
         if b not in index:
-            raise ParseError(ln, f"unknown generator {b!r}")
+            raise ParseError(f"unknown generator {b!r}", ln)
         i, j = index[a], index[b]
         if i == j:
-            raise ParseError(ln, "diagonal orders are fixed at 1")
+            raise ParseError("diagonal orders are fixed at 1", ln)
         if val == "inf":
             m = INF
         else:
             try:
                 m = int(val)
             except ValueError:
-                raise ParseError(ln, f"order must be an integer >= 2 or 'inf', got {val!r}")
+                raise ParseError(f"order must be an integer >= 2 or 'inf', got {val!r}", ln)
             if m < 2:
-                raise ParseError(ln, f"off-diagonal order must be at least 2, got {m}")
+                raise ParseError(f"off-diagonal order must be at least 2, got {m}", ln)
         key = (min(i, j), max(i, j))
         if key in assigned and assigned[key][0] != m:
             raise ParseError(
-                ln, f"conflicting orders for pair ({a}, {b}): "
-                    f"{assigned[key][0]} on line {assigned[key][1]}, now {m}")
+                f"conflicting orders for pair ({a}, {b}): "
+                f"{assigned[key][0]} on line {assigned[key][1]}, now {m}", ln)
         assigned[key] = (m, ln)
     if names is None:
-        raise ParseError(0, "empty group definition")
+        raise ParseError("empty group definition")
     return CoxeterSystem.from_pairs(
         names, {(names[i], names[j]): m for (i, j), (m, _) in assigned.items()})

@@ -6,13 +6,20 @@ class CoxeterError(Exception):
 
 
 class ParseError(CoxeterError):
-    """A group definition file is malformed.  Carries a 1-based line number."""
+    """Malformed input: a group definition, a word, or an automaton's JSON.
 
-    def __init__(self, line: int, message: str):
+    `line` is the 1-based line of the group definition at fault, or None
+    when there is no such line (a word, an unreadable file, an empty
+    definition); the message names the line only when there is one.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
 
     def __str__(self) -> str:
+        if self.line is None:
+            return self.args[0]
         return f"line {self.line}: {self.args[0]}"
 
 

@@ -84,17 +84,21 @@ def canonical_word(g: Element) -> Word:
     """The representative spelling each chunk by its ShortLex reduced
     word: canonical(g) = canonical(Pi(g)) + nf(w(g)).
 
-    Kept on the element.  The Pi chain is walked down to the identity or
-    to an element whose word is known, and the words are filled in on
-    the way back up.
+    Kept on g alone.  The Pi chain is walked down to the identity or to
+    an element whose word is known, and the chunks' words are joined
+    once, so a long element costs memory linear in its length.  A scan
+    asks for its ball's words in order of length, so it finds Pi(g)'s
+    word kept and takes one step.
     """
-    chain, cur, identity = [], g, g.system.identity
-    while cur._canonical is None and cur is not identity:
-        chain.append(cur)
-        cur = descent_data(cur)[2]
-    word = cur._canonical or ()
-    for el in reversed(chain):
-        word = el._canonical = word + el._descent[1].nf
+    word = g._canonical
+    if word is None:
+        parts, cur, identity = [], g, g.system.identity
+        while cur._canonical is None and cur is not identity:
+            _, w, cur = descent_data(cur)
+            parts.append(w.nf)
+        parts.append(cur._canonical or ())
+        word = g._canonical = tuple(
+            itertools.chain.from_iterable(reversed(parts)))
     return word
 
 

@@ -77,7 +77,7 @@ def test_lang_reads_back_the_empty_word(capsys):
 def test_lang_unknown_letter(capsys):
     code, _, err = run(capsys, "lang", FIG1, "check", "sxt")
     assert code == 2
-    assert "unknown generator" in err
+    assert err == "error: unknown generator 'x'\n"
 
 
 def test_automaton_scan(capsys):
@@ -108,6 +108,26 @@ def test_automaton_output_file(capsys, tmp_path):
                        "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["start"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("automaton", FIG1, "--scan-len", "3"),
+    ("automaton", FIG1, "--format", "json"),
+    ("automaton", FIG1, "--format", "dot"),
+    ("scan", FIG1, "--radius", "4"),
+    ("scan", FIG1, "--radius", "4", "--format", "text"),
+    ("prop", FIG1, "--radius", "3"),
+    ("prop", FIG1, "--radius", "3", "--format", "tsv"),
+    ("divergence", A3T, "--radii", "2,4"),
+    ("divergence", A3T, "--radii", "2,4", "--format", "text"),
+], ids=lambda argv: " ".join((argv[0], *argv[2:])))
+def test_output_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv):
+    """Every command and format writes to --output exactly what it would
+    write to stdout, with the same exit code."""
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(target)) == (code, "", "")
+    assert out and target.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv", [
@@ -585,12 +605,12 @@ def test_group_file_that_is_not_utf8(capsys, tmp_path):
     code, out, err = run(capsys, "info", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: line 0: cannot read group file: ")
+    assert err.startswith("error: cannot read group file: ")
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
 ERRORS = [
-    (ParseError(3, "bad"), 2, "error: line 3: bad"),
+    (ParseError("bad", 3), 2, "error: line 3: bad"),
     (PreconditionError("bad"), 2, "error: bad"),
     (InfiniteParabolicError("bad"), 2, "error: bad"),
     (FieldMismatchError("bad"), 2, "error: bad"),
@@ -605,10 +625,10 @@ ERRORS = [
                          ids=[type(exc).__name__ for exc, _, _ in ERRORS])
 def test_each_error_class_has_its_exit_code(capsys, monkeypatch, exc, code,
                                             message):
-    def fail(args):
+    def fail(args, system):
         raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "info", fail)
+    monkeypatch.setattr(cli, "cmd_info", fail)
     assert run(capsys, "info", FIG1) == (code, "", message + "\n")
 
 
@@ -729,6 +749,7 @@ def test_option_table_is_frozen():
     table = {
         name: [((a.option_strings or [a.dest])[0], a.dest, a.default,
                 a.choices, a.required, a.type)
-               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+               for a in sub._actions
+               if not isinstance(a, argparse._HelpAction)]
         for name, sub in subs.choices.items()}
     assert table == OPTIONS

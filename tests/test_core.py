@@ -55,8 +55,8 @@ def test_parse_repeated_consistent_order_is_fine():
     ("generators a b\nm a b x", 2, "integer"),
     ("generators a b\nm a b 1", 2, "at least 2"),
     ("generators a b\nm a b 3\nm b a 4", 3, "conflicting"),
-    ("", 0, "empty"),
-    ("   \n# only a comment\n", 0, "empty"),
+    ("", None, "empty"),
+    ("   \n# only a comment\n", None, "empty"),
 ])
 def test_parse_errors(text, line, fragment):
     with pytest.raises(ParseError) as exc:

@@ -6,6 +6,8 @@ element, so membership, enumeration, and the chunk decomposition are
 checked against each other on every element of the ball.
 """
 
+import tracemalloc
+
 import pytest
 
 from coxlang import (InvariantViolation, PreconditionError,
@@ -67,6 +69,30 @@ def test_canonical_word_can_differ_from_shortlex(fig1):
     assert fig1.word_str(g.nf) == "strsr"
     assert fig1.word_str(canonical_word(g)) == "tsrsr"
     assert not is_in_standard_language(fig1, "strsr")
+
+
+def test_canonical_word_keeps_memory_linear_in_the_length():
+    """The word is kept on the element asked for, not on each element of
+    its Pi chain: a 2,000-letter element keeps one word, where one per
+    chain element would keep about 15 MiB.  A fresh system, so that no
+    element of the chain has a word yet."""
+    fig1 = parse_system((GROUPS / "fig1.cox").read_text())
+    g = fig1.element("srtr" * 500)
+    assert g.length == 2000
+    tracemalloc.start()
+    try:
+        word = canonical_word(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert canonical_word(g) is word
+    assert fig1.element(word) == g and is_in_standard_language(fig1, word)
+    carriers, cur = 0, g
+    while not cur.is_identity():
+        carriers += cur._canonical is not None
+        cur = descent_data(cur)[2]
+    assert carriers == 1
 
 
 def test_membership_examples(fig1):
