@@ -326,7 +326,7 @@ def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
     if not isinstance(doc, dict) or doc.keys() != {
             "generators", "states", "transitions", "start"}:
         raise ParseError("not an object with the keys generators, "
-                            "states, transitions and start")
+                         "states, transitions and start")
     if doc["generators"] != list(system.matrix.names):
         raise ParseError(f"generators {doc['generators']} differ")
     states, written_trs = doc["states"], doc["transitions"]

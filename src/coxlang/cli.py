@@ -181,9 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help, *options, formats=(), default=None):
-        """Add subcommand `name`: the group file, then `options`, then
-        --format (among `formats`, `default` or the first) and --output
-        when the command has formats."""
+        """Add subcommand `name` with its handler: the group file, then
+        `options`, then, when it has `formats`, --format (`default`, else
+        the first) and --output.  Without them `output` is None, so
+        `_emit` writes to stdout."""
         p = subs.add_parser(name, help=help)
         p.set_defaults(handler=handler, output=None)
         p.add_argument("group")

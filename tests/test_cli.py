@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -742,7 +743,6 @@ OPTIONS = {
 
 def test_option_table_is_frozen():
     """No subcommand gains, loses or changes an argument."""
-    import argparse
     parser = cli._build_parser()
     subs, = (a for a in parser._actions
              if isinstance(a, argparse._SubParsersAction))
