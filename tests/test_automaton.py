@@ -162,23 +162,53 @@ def test_from_json_rejects_other_generators(machines):
         from_json(to_json(machine), machines["triangle"][0])
 
 
+def _two_letter(doc):
+    """The first transition on a two-letter T: fig1's {s, t}, labels st
+    and ts."""
+    return next(tr for tr in doc["transitions"] if len(tr["T"]) == 2)
+
+
 # Each refused document differs from one `to_json` wrote in one place.
 _NOT_WRITTEN = {
     "to-999": lambda doc: doc["transitions"][0].update(to=999),
     "from-negative": lambda doc: doc["transitions"][0].update({"from": -1}),
     "to-true": lambda doc: doc["transitions"][0].update(to=True),
+    "to-float": lambda doc: doc["transitions"][0].update(to=1.0),
     "start-77": lambda doc: doc.update(start=77),
+    "start-negative": lambda doc: doc.update(start=-1),
+    "start-float": lambda doc: doc.update(start=0.0),
+    "start-false": lambda doc: doc.update(start=False),
     "start-string": lambda doc: doc.update(start="0"),
     "missing-start": lambda doc: doc.pop("start"),
     "extra-key": lambda doc: doc.update(final=[0]),
     "missing-to": lambda doc: doc["transitions"][0].pop("to"),
+    "extra-transition-key": lambda doc: doc["transitions"][0].update(x=1),
     "transition-list": lambda doc: doc["transitions"].append([0, ["s"], 1]),
+    "transition-null": lambda doc: doc["transitions"].__setitem__(0, None),
     "T-string": lambda doc: doc["transitions"][0].update(T="s"),
+    "T-unsorted": lambda doc: _two_letter(doc)["T"].reverse(),
+    "T-empty": lambda doc: _two_letter(doc).update(T=[]),
+    "T-repeated": lambda doc: _two_letter(doc).update(T=["s", "s"]),
+    "T-of-ints": lambda doc: _two_letter(doc).update(T=[0, 1]),
+    "labels-reordered": lambda doc: _two_letter(doc)["labels"].reverse(),
+    "w0-other-word": lambda doc: _two_letter(doc).update(w0="ts"),
     "transitions-object": lambda doc: doc.update(transitions={}),
+    "states-object": lambda doc: doc.update(
+        states=dict(enumerate(doc["states"]))),
+    "states-null": lambda doc: doc.update(states=None),
     "state-string": lambda doc: doc["states"].__setitem__(1, "s"),
     "state-of-ints": lambda doc: doc["states"].__setitem__(1, [0]),
+    "state-nested": lambda doc: doc["states"].__setitem__(1, [["s"]]),
     "state-unknown-name": lambda doc: doc["states"].__setitem__(1, ["x"]),
     "generators-string": lambda doc: doc.update(generators="str"),
+}
+
+# `to_json` writes these machines too; whether such a machine is the
+# language's is for `equivalence_scan` to judge, not the loader.
+_STILL_WRITTEN = {
+    "transition-duplicated": lambda doc: doc["transitions"].append(
+        dict(doc["transitions"][0])),
+    "transition-dropped": lambda doc: doc["transitions"].pop(),
 }
 
 
@@ -189,6 +219,17 @@ def test_from_json_refuses_what_to_json_cannot_write(machines, mutate):
     mutate(doc)
     with pytest.raises(ParseError):
         from_json(json.dumps(doc), machine.system)
+
+
+@pytest.mark.parametrize("mutate", _STILL_WRITTEN.values(),
+                         ids=_STILL_WRITTEN)
+def test_from_json_loads_what_to_json_can_write(machines, mutate):
+    _, machine, _ = machines["fig1"]
+    doc = json.loads(to_json(machine))
+    mutate(doc)
+    loaded = from_json(json.dumps(doc), machine.system)
+    assert json.loads(to_json(loaded)) == doc
+    assert loaded.states == machine.states
 
 
 @pytest.mark.parametrize("text", ["", "not json", "[]", "7", '"machine"'])
