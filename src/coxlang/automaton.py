@@ -286,25 +286,26 @@ def equivalence_scan(fsa: ResidueFsa, max_len: int) -> EquivalenceReport:
 # ----- export ---------------------------------------------------------------
 
 
-def _json_of(system: CoxeterSystem, tr: Transition) -> dict:
-    """A transition as `to_json` writes it: with nf(w0(T)) and
-    `reduced_words(system, T)`, which may raise ResourceLimitError."""
-    names = system.matrix.names
-    return {"from": tr.source,
-            "T": [names[t] for t in tr.parabolic],
-            "w0": system.word_str(system.longest_element(tr.parabolic).nf),
-            "labels": [system.word_str(w)
-                       for w in reduced_words(system, tr.parabolic)],
-            "to": tr.target}
-
-
 def to_json(fsa: ResidueFsa) -> str:
+    """The machine as a JSON document: its generators, its states as
+    lists of reflection words, its start, and each transition with T,
+    nf(w0(T)) and `reduced_words(system, T)`, which may raise
+    ResourceLimitError."""
     import json
 
+    system = fsa.system
+    names = system.matrix.names
     doc = {
-        "generators": list(fsa.system.matrix.names),
+        "generators": list(names),
         "states": [list(st) for st in fsa.states],
-        "transitions": [_json_of(fsa.system, tr) for tr in fsa.transitions],
+        "transitions": [
+            {"from": tr.source,
+             "T": [names[t] for t in tr.parabolic],
+             "w0": system.word_str(system.longest_element(tr.parabolic).nf),
+             "labels": [system.word_str(w)
+                        for w in reduced_words(system, tr.parabolic)],
+             "to": tr.target}
+            for tr in fsa.transitions],
         "start": fsa.start,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -312,54 +313,36 @@ def to_json(fsa: ResidueFsa) -> str:
 
 def from_json(text: str, system: CoxeterSystem) -> ResidueFsa:
     """The machine `to_json` wrote for `system`.  Raises ParseError unless
-    the text is a JSON object with the four keys `to_json` writes, the
-    generators are the system's, each state is a list of words over them,
-    `start` and each transition's `from` and `to` index a state, and each
-    transition has a spherical T and is written as `to_json` writes it,
-    `w0` and `labels` included."""
+    `to_json` writes the loaded machine back as the same document, each
+    state word parses, `start` and each `from` and `to` is an int that
+    indexes a state (JSON's `true` equals 1), and each T is spherical as
+    `spherical_subsets` lists it (an unsorted or repeated T would be
+    written back as it came)."""
     import json
 
     try:
         doc = json.loads(text)
-    except ValueError as exc:
-        raise ParseError(f"not JSON: {exc}")
-    if not isinstance(doc, dict) or doc.keys() != {
-            "generators", "states", "transitions", "start"}:
-        raise ParseError("not an object with the keys generators, "
-                         "states, transitions and start")
-    if doc["generators"] != list(system.matrix.names):
-        raise ParseError(f"generators {doc['generators']} differ")
-    states, written_trs = doc["states"], doc["transitions"]
-    if not isinstance(states, list) or not all(
-            isinstance(st, list) and all(isinstance(w, str) for w in st)
-            for st in states):
-        raise ParseError("a state is not a list of words")
-    for st in states:
-        for w in st:
-            system.parse_word(w)
-
-    def is_state(i) -> bool:
-        return type(i) is int and 0 <= i < len(states)
-
-    if not is_state(doc["start"]):
-        raise ParseError(f"start {doc['start']!r} is not a state")
-    if not isinstance(written_trs, list):
-        raise ParseError("transitions are not a list")
+        states = tuple(tuple(st) for st in doc["states"])
+        for st in states:
+            for w in st:
+                system.parse_word(w)
+        fsa = ResidueFsa(system, states, tuple(
+            Transition(tr["from"], system.parse_word(" ".join(tr["T"])),
+                       tr["to"])
+            for tr in doc["transitions"]), doc["start"])
+    except (ValueError, TypeError, KeyError, AttributeError,
+            RecursionError) as exc:
+        raise ParseError(f"not a machine to_json writes: {exc!r}")
+    indices = [fsa.start, *(i for tr in fsa.transitions
+                            for i in (tr.source, tr.target))]
+    if not all(type(i) is int and 0 <= i < len(states) for i in indices):
+        raise ParseError("a start, from or to is not a state index")
     spherical = set(system.spherical_subsets())
-    transitions = []
-    for i, written in enumerate(written_trs):
-        try:
-            tr = Transition(written["from"], system.parse_word(
-                " ".join(written["T"])), written["to"])
-        except (TypeError, KeyError):
-            raise ParseError(f"transition {i} is not written by to_json")
-        if not (is_state(tr.source) and is_state(tr.target)):
-            raise ParseError(f"transition {i} joins no two states")
-        if tr.parabolic not in spherical or _json_of(system, tr) != written:
-            raise ParseError(f"transition {i} does not match its T")
-        transitions.append(tr)
-    states = tuple(tuple(st) for st in states)
-    return ResidueFsa(system, states, tuple(transitions), doc["start"])
+    if not all(tr.parabolic in spherical for tr in fsa.transitions):
+        raise ParseError("a transition's T is not a spherical subset")
+    if json.loads(to_json(fsa)) != doc:
+        raise ParseError("to_json writes the machine otherwise")
+    return fsa
 
 
 def _dot_label(text: str) -> str:

@@ -484,14 +484,17 @@ class CoxeterSystem:
             self._spherical = tuple(out)
         return self._spherical
 
+    def _require_finite(self, T: frozenset) -> None:
+        if not self.is_finite_parabolic(T):
+            raise InfiniteParabolicError(
+                f"<{{{', '.join(self.matrix.names[t] for t in sorted(T))}}}> is infinite")
+
     def longest_element(self, T) -> "Element":
         """Longest element of the standard parabolic <T>, by greedy ascent."""
         T = frozenset(T)
         if T in self._w0_cache:
             return self._w0_cache[T]
-        if not self.is_finite_parabolic(T):
-            raise InfiniteParabolicError(
-                f"<{{{', '.join(self.matrix.names[t] for t in sorted(T))}}}> is infinite")
+        self._require_finite(T)
         cur = self._identity
         ts = sorted(T)
         while True:
@@ -535,7 +538,11 @@ class CoxeterSystem:
         return self._closure(range(self.n), radius, max_elements)
 
     def parabolic_elements(self, T, max_elements: int = DEFAULT_BALL_CAP) -> list["Element"]:
-        """All elements of <T>; raises ResourceLimitError if the cap trips."""
+        """All elements of <T>; raises InfiniteParabolicError, before
+        forming any element, if <T> is infinite, and ResourceLimitError if
+        the cap trips."""
+        T = frozenset(T)
+        self._require_finite(T)
         return self._closure(T, None, max_elements)
 
     def _closure(self, gens, radius, max_elements) -> list["Element"]:

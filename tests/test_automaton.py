@@ -238,6 +238,18 @@ def test_from_json_refuses_what_is_no_json_object(fig1, text):
         from_json(text, fig1)
 
 
+def test_from_json_refuses_deep_nesting(machines):
+    """Nesting past the interpreter's recursion limit is a ParseError,
+    in the whole text and in one field of a written machine."""
+    _, machine, _ = machines["fig1"]
+    doc = json.loads(to_json(machine))
+    doc["states"] = "@"
+    deep = json.dumps(doc).replace('"@"', "[" * 5000 + "]" * 5000)
+    for text in ("[" * 100000, deep):
+        with pytest.raises(ParseError):
+            from_json(text, machine.system)
+
+
 @pytest.mark.parametrize("name,radius", [("fig1", 6), ("a3tilde", 5),
                                          ("h237", 6)])
 def test_append_lemma_right_side_is_the_transition_test(request, ball, name,

@@ -674,8 +674,12 @@ def test_parabolic_orders_match_catalog(fig1, a3tilde):
     assert len(fig1.parabolic_elements({0, 1})) == 4
     assert len(fig1.parabolic_elements({0, 2})) == 8
     assert len(a3tilde.parabolic_elements({0, 1, 2})) == 24
-    with pytest.raises(ResourceLimitError):
+    # fig1 itself is infinite: refused before any element is formed, not
+    # walked up to the cap.
+    interned = len(fig1._elements)
+    with pytest.raises(InfiniteParabolicError, match=r"<\{s, t, r\}>"):
         fig1.parabolic_elements({0, 1, 2}, max_elements=500)
+    assert len(fig1._elements) == interned
 
 
 def test_parabolic_elements_of_a_repeated_letter(fig1):

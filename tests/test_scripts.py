@@ -1,5 +1,6 @@
 """The scripts in scripts/ run and print their known output."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +37,47 @@ def test_script_output(argv, stdout):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == stdout
+
+
+def _paired_bench():
+    spec = importlib.util.spec_from_file_location(
+        "paired_bench", ROOT / "scripts" / "paired_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Ten parent readings: median 1.0, quartiles 0.9725 and 1.0275.
+_PARENT = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+
+
+@pytest.mark.parametrize("change,better,bound,expected", [
+    # Won every pair, median 0.2 better: wider than the 0.055 spread.
+    ([p - 0.2 for p in _PARENT], "lower", 0.25, ("gain", 10)),
+    # Won 8 of 10 pairs: short of 9 of 10.
+    ([p - 0.2 for p in _PARENT[:8]] + _PARENT[8:], "lower", 0.25,
+     ("within bound", 8)),
+    # Won every pair, median 0.05 better: inside the spread.
+    ([p - 0.05 for p in _PARENT], "lower", 0.25, ("within bound", 10)),
+    # Equal readings are ties, which count for neither side.
+    (_PARENT, "lower", 0.25, ("within bound", 0)),
+    # 30% worse passes a bound of 0.25 but not one of 0.4.
+    ([1.3 * p for p in _PARENT], "lower", 0.25, ("worse", 0)),
+    ([1.3 * p for p in _PARENT], "lower", 0.4, ("within bound", 0)),
+    # Where higher is better, 30% lower is worse and 30% higher a gain.
+    ([0.7 * p for p in _PARENT], "higher", 0.25, ("worse", 0)),
+    ([1.3 * p for p in _PARENT], "higher", 0.25, ("gain", 10)),
+])
+def test_paired_bench_verdict(change, better, bound, expected):
+    assert _paired_bench().verdict(_PARENT, change, better, bound) == expected
+
+
+def test_paired_bench_spread_wider_than_the_bound():
+    """A parent spread wider than the bound leaves a metric unresolved,
+    unless every change reading beats every parent reading."""
+    verdict = _paired_bench().verdict
+    parent = [1.0, 2.0] * 5
+    assert verdict(parent, [1.4, 1.6] * 5, "lower", 0.25) == (
+        "unresolved", 5)
+    assert verdict(parent, [0.5] * 10, "lower", 0.25) == (
+        "within bound", 10)
