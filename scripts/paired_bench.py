@@ -10,8 +10,9 @@ even pairs run the parent first, odd pairs the change.  Each run's last
 stdout line is its JSON result.
 
 For every end-to-end metric in the parent's ``BENCHMARK.json`` the report
-gives both sides' medians and quartiles, the pairs the change won (ties
-count for neither) and a verdict:
+gives both sides' medians and quartiles (``statistics.quantiles``, its
+default exclusive method), the pairs the change won (ties count for
+neither) and a verdict:
 
 * ``worse``: the change's median is worse than the parent's by more than
   the metric's bound, a fraction of the parent's median;
@@ -36,13 +37,6 @@ import sys
 from pathlib import Path
 
 
-def quartiles(values) -> tuple[float, float, float]:
-    """First quartile, median and third quartile (the `statistics`
-    module's default, exclusive method)."""
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return q1, median, q3
-
-
 def verdict(parent, change, better: str, bound: float) -> tuple[str, int]:
     """The verdict on one metric from paired readings, parent[i] and
     change[i] from pair i, and the number of pairs the change won."""
@@ -51,7 +45,7 @@ def verdict(parent, change, better: str, bound: float) -> tuple[str, int]:
     parent = [sign * v for v in parent]
     change = [sign * v for v in change]
     wins = sum(c < p for p, c in zip(parent, change))
-    q1, median, q3 = quartiles(parent)
+    q1, median, q3 = statistics.quantiles(parent, n=4)
     gap = median - statistics.median(change)
     if -gap > bound * abs(median):
         return "worse", wins
@@ -78,7 +72,7 @@ def run_once(command, checkout: Path, workload: str, seed: int,
 
 
 def _spread(values) -> str:
-    q1, median, q3 = quartiles(values)
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 

@@ -229,7 +229,6 @@ def test_from_json_loads_what_to_json_can_write(machines, mutate):
     mutate(doc)
     loaded = from_json(json.dumps(doc), machine.system)
     assert json.loads(to_json(loaded)) == doc
-    assert loaded.states == machine.states
 
 
 @pytest.mark.parametrize("text", ["", "not json", "[]", "7", '"machine"'])
