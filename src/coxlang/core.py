@@ -429,6 +429,9 @@ class CoxeterSystem:
         Groups, 1990, 6.4; Bourbaki, Lie IV-VI, Ch. V 4.8)."""
         T = frozenset(T)
         if T not in self._finite_cache:
+            for t in T:
+                if not 0 <= t < self.n:
+                    raise PreconditionError(f"letter {t} out of range")
             self._finite_cache[T] = self._classify_finite(T)
         return self._finite_cache[T]
 

@@ -680,6 +680,14 @@ def test_parabolic_orders_match_catalog(fig1, a3tilde):
     with pytest.raises(InfiniteParabolicError, match=r"<\{s, t, r\}>"):
         fig1.parabolic_elements({0, 1, 2}, max_elements=500)
     assert len(fig1._elements) == interned
+    # A letter out of range is refused as mul_gen refuses it, and -1 is
+    # not read as the last generator.
+    for T in ({3}, {-1, 2}):
+        for ask in (fig1.parabolic_elements, fig1.longest_element,
+                    fig1.is_finite_parabolic):
+            with pytest.raises(PreconditionError, match="out of range"):
+                ask(T)
+        assert frozenset(T) not in fig1._finite_cache
 
 
 def test_parabolic_elements_of_a_repeated_letter(fig1):
