@@ -231,22 +231,13 @@ def test_from_json_loads_what_to_json_can_write(machines, mutate):
     assert json.loads(to_json(loaded)) == doc
 
 
-@pytest.mark.parametrize("text", ["", "not json", "[]", "7", '"machine"'])
+@pytest.mark.parametrize("text", [
+    "", "not json", "[]", "7", '"machine"',
+    # Nesting past the interpreter's recursion limit.
+    pytest.param("[" * 100000, id="100000-open-brackets")])
 def test_from_json_refuses_what_is_no_json_object(fig1, text):
     with pytest.raises(ParseError):
         from_json(text, fig1)
-
-
-def test_from_json_refuses_deep_nesting(machines):
-    """Nesting past the interpreter's recursion limit is a ParseError,
-    in the whole text and in one field of a written machine."""
-    _, machine, _ = machines["fig1"]
-    doc = json.loads(to_json(machine))
-    doc["states"] = "@"
-    deep = json.dumps(doc).replace('"@"', "[" * 5000 + "]" * 5000)
-    for text in ("[" * 100000, deep):
-        with pytest.raises(ParseError):
-            from_json(text, machine.system)
 
 
 @pytest.mark.parametrize("name,radius", [("fig1", 6), ("a3tilde", 5),
