@@ -1,13 +1,14 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 scripts/paired_bench.py PARENT CHANGE --workload a3-divergence \
-        --pairs 10 --seconds 30 [--seed 0]
+        --pairs 10 [--seed 0]
 
 Pair i runs the benchmark's command (``perfbench/run.py`` as the parent's
-``BENCHMARK.json`` declares it) once in each checkout, with the checkout's
-root as the working directory, the caller's environment, and seed S0 + i;
-even pairs run the parent first, odd pairs the change.  Each run's last
-stdout line is its JSON result.
+``BENCHMARK.json`` declares it, for its ``run_seconds``) once in each
+checkout, with the checkout's root as the working directory, the caller's
+environment, and seed S0 + i; even pairs run the parent first, odd pairs
+the change.  Each run's last stdout line is its JSON result.  The rule
+below counts wins out of at least ten pairs, so fewer are refused.
 
 For every end-to-end metric in the parent's ``BENCHMARK.json`` the report
 gives both sides' medians and quartiles (``statistics.quantiles``, its
@@ -23,8 +24,10 @@ neither) and a verdict:
   run;
 * ``within bound``: otherwise.
 
-It then gives each side's share of failed operations.  The exit code is 1
-when a metric is worse or the change fails a larger share, else 0.
+A gain does not count when the change fails a larger share of operations
+than the parent; it is then reported as ``void gain``.  The report ends
+with each side's share of failed operations.  The exit code is 1 when a
+metric is worse or the change fails a larger share, else 0.
 """
 
 from __future__ import annotations
@@ -82,15 +85,15 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, to give quartiles")
+    if args.pairs < 10:
+        parser.error("--pairs must be at least 10, as the rule counts wins "
+                     "out of ten")
 
     results = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -98,13 +101,21 @@ def main(argv=None) -> int:
         for side in sides:
             results[side].append(run_once(
                 bench["command"], getattr(args, side), args.workload,
-                args.seed + i, args.seconds))
+                args.seed + i, bench["run_seconds"]))
+    shares = {}
+    for side, runs in results.items():
+        failed = sum(r["failed"] for r in runs)
+        attempted = sum(r["attempted"] for r in runs)
+        shares[side] = (failed / attempted if attempted else 1.0,
+                        f"{failed}/{attempted}")
+    fails_more = shares["change"][0] > shares["parent"][0]
 
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+    print(f"{args.workload}: {args.pairs} pairs of "
+          f"{bench['run_seconds']:g} s runs, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(f"  {'metric':12s} {'parent median [q1, q3]':34s} "
           f"{'change median [q1, q3]':34s} {'won':>6s}  verdict")
-    failing = False
+    failing = fails_more
     for metric in bench["end_to_end"]:
         name = metric["name"]
         parent, change = ([r["metrics"][name]["value"] for r in results[side]]
@@ -112,16 +123,13 @@ def main(argv=None) -> int:
         word, wins = verdict(parent, change, metric["better"],
                              metric["bound"])
         failing |= word == "worse"
+        if word == "gain" and fails_more:
+            word = "void gain"
         print(f"  {name:12s} {_spread(parent):34s} {_spread(change):34s} "
               f"{wins:>3d}/{args.pairs:<2d}  {word} "
               f"(bound {metric['bound']:g}, {metric['unit']})")
-    shares = {}
-    for side, runs in results.items():
-        failed = sum(r["failed"] for r in runs)
-        attempted = sum(r["attempted"] for r in runs)
-        shares[side] = failed / attempted if attempted else 1.0
-        print(f"  failed operations, {side}: {failed}/{attempted}")
-    failing |= shares["change"] > shares["parent"]
+    for side, (_, count) in shares.items():
+        print(f"  failed operations, {side}: {count}")
     return 1 if failing else 0
 
 

@@ -1,6 +1,7 @@
 """The scripts in scripts/ run and print their known output."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -81,3 +82,41 @@ def test_paired_bench_spread_wider_than_the_bound():
         "unresolved", 5)
     assert verdict(parent, [0.5] * 10, "lower", 0.25) == (
         "within bound", 10)
+
+
+def test_paired_bench_refuses_fewer_than_ten_pairs(capsys):
+    with pytest.raises(SystemExit):
+        _paired_bench().main([str(ROOT), str(ROOT), "--workload",
+                              "a3-divergence", "--pairs", "9"])
+    assert "at least 10" in capsys.readouterr().err
+
+
+def test_paired_bench_voids_a_gain_when_the_change_fails_more(
+        tmp_path, monkeypatch, capsys):
+    """Runs for the benchmark's own length; a change that reads lower on
+    every metric but fails a larger share of operations gains nothing and
+    exits 1."""
+    module = _paired_bench()
+    bench = (ROOT / "BENCHMARK.json").read_text()
+    seconds = json.loads(bench)["run_seconds"]
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(bench)
+
+    def run_once(command, checkout, workload, seed, run_seconds):
+        assert run_seconds == seconds
+        side = 1.0 if checkout.name == "parent" else 0.5
+        return {"metrics": {m: {"value": side * (1 + seed % 3 / 100)}
+                            for m in ("wall_s", "cpu_s", "setup_s",
+                                      "peak_rss_mb")},
+                "failed": 0 if checkout.name == "parent" else 1,
+                "attempted": 100}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    code = module.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--workload", "a3-divergence", "--pairs", "10"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"10 pairs of {seconds:g} s runs" in out
+    assert out.count("void gain") == 4
+    assert "failed operations, change: 10/1000" in out
